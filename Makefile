@@ -6,7 +6,7 @@ GO ?= go
 # Coverage floor for cover-check (percent of statements in internal/...).
 COVER_FLOOR ?= 60
 
-.PHONY: all build vet fmt-check ci check-ci-mirror test test-go test-short test-shuffle test-single-core race race-lifecycle race-numerics race-all smoke-ctl soak soak-shard soak-tenant staticcheck bench bench-smoke bench-json bench-compare fuzz-smoke figures figures-quick cover cover-check clean
+.PHONY: all build vet fmt-check ci check-ci-mirror test test-go test-short test-shuffle test-single-core race race-lifecycle race-numerics race-all smoke-ctl soak soak-shard soak-tenant staticcheck bench bench-smoke bench-e2e-smoke bench-json bench-compare fuzz-smoke figures figures-quick cover cover-check clean
 
 all: build test
 
@@ -23,7 +23,7 @@ CI_STEPS := check-ci-mirror vet fmt-check build test-go test-shuffle test-single
 # it must run, as job:target pairs. scripts/check_ci_mirror.sh verifies
 # every pair has a matching `run: make <target>` line inside that job, so
 # the dedicated jobs obey the same edit-both-files rule as CI_STEPS.
-CI_JOBS := coverage:cover-check soak:soak soak-shard:soak-shard soak-tenant:soak-tenant staticcheck:staticcheck
+CI_JOBS := coverage:cover-check soak:soak soak-shard:soak-shard soak-tenant:soak-tenant staticcheck:staticcheck bench-e2e-smoke:bench-e2e-smoke
 
 ci: $(CI_STEPS)
 
@@ -131,6 +131,13 @@ bench:
 # One iteration per benchmark: the nightly workflow's smoke pass.
 bench-smoke:
 	$(GO) test -bench=. -benchtime=1x ./...
+
+# The end-to-end benchmark's own tests (the CI bench-e2e-smoke job): its
+# unit tests, the BENCHMARK.json sync check and the -quick smoke run of
+# all four workloads. bench/ is a module of its own, so the root
+# `go test ./...` does not reach them.
+bench-e2e-smoke:
+	cd bench && $(GO) test ./...
 
 # Committed benchmark snapshot: the root-package paper benchmarks converted
 # to JSON for before/after comparison (see BENCH_baseline.json).

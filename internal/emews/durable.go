@@ -17,10 +17,12 @@ import (
 // taskMutation routed through applyLocked, the single transition function.
 // The live path first decides the transition (fence checks, retry budget,
 // assigned IDs and timestamps, so the record is fully deterministic),
-// persists it through the optional wal.Backend, then applies it. Side
-// effects — obs metrics, sync.Cond broadcasts, closing future done
-// channels — live in the API wrappers, never in applyLocked, so replay
-// rebuilds state without re-firing them.
+// persists it through the optional wal.Backend, then applies it. A batch
+// op (SubmitBatch, PopBatch, finishBatch) decides all of its mutations,
+// persists them as one commit, then applies them in order: in memory the
+// batch is all-or-none. Side effects — obs metrics, sync.Cond broadcasts,
+// closing future done channels — live in the API wrappers, never in
+// applyLocked, so replay rebuilds state without re-firing them.
 //
 // Deliberately not durable: leases and claim epochs held by workers (the
 // processes die with the daemon), Pop waiters, and watch/notification
@@ -169,20 +171,39 @@ func (db *DB) queueFor(taskType string) *taskHeap {
 	return q
 }
 
-// commitLocked persists m through the backend (if any) and applies it.
-// Fail-stop: a persistence error leaves the in-memory state untouched, so
-// memory never runs ahead of the log. The caller holds db.mu.
-func (db *DB) commitLocked(m *taskMutation) (applyResult, error) {
-	if db.backend != nil {
-		rec, err := json.Marshal(m)
-		if err != nil {
-			return applyResult{}, fmt.Errorf("emews: encode mutation: %w", err)
-		}
-		if err := db.backend.Append(rec); err != nil {
-			return applyResult{}, fmt.Errorf("emews: wal append: %w", err)
-		}
+// persistLocked writes ms through the backend (if any) as one commit: a
+// single Append, so one write and at most one fsync for the whole group.
+// It applies nothing; the caller applies each mutation with applyLocked
+// only after persistLocked succeeded, so memory never runs ahead of the
+// log (fail-stop). A crash can still leave any prefix of the group on
+// disk, which recovery replays like any other history. The caller holds
+// db.mu.
+func (db *DB) persistLocked(ms []taskMutation) error {
+	if db.backend == nil || len(ms) == 0 {
+		return nil
 	}
-	return db.applyLocked(m)
+	recs := make([][]byte, len(ms))
+	for i := range ms {
+		rec, err := json.Marshal(&ms[i])
+		if err != nil {
+			return fmt.Errorf("emews: encode mutation: %w", err)
+		}
+		recs[i] = rec
+	}
+	if err := db.backend.Append(recs...); err != nil {
+		return fmt.Errorf("emews: wal append: %w", err)
+	}
+	return nil
+}
+
+// commitLocked persists the single mutation m and applies it. The caller
+// holds db.mu.
+func (db *DB) commitLocked(m taskMutation) (applyResult, error) {
+	ms := [1]taskMutation{m}
+	if err := db.persistLocked(ms[:]); err != nil {
+		return applyResult{}, err
+	}
+	return db.applyLocked(&ms[0])
 }
 
 // dbSnapshot is the full-state snapshot written at compaction.
@@ -287,7 +308,7 @@ func OpenDBShard(l *wal.Log, index, count int) (*DB, error) {
 	}
 	sort.Slice(running, func(i, j int) bool { return running[i] < running[j] })
 	if len(running) > 0 {
-		if _, err := db.commitLocked(&taskMutation{Op: opRequeue, IDs: running}); err != nil {
+		if _, err := db.commitLocked(taskMutation{Op: opRequeue, IDs: running}); err != nil {
 			return nil, err
 		}
 		mTaskRecovered.Add(int64(len(running)))
@@ -353,7 +374,7 @@ func (db *DB) Prune(olderThan time.Duration) (int, error) {
 		return 0, nil
 	}
 	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	if _, err := db.commitLocked(&taskMutation{Op: opPrune, IDs: ids}); err != nil {
+	if _, err := db.commitLocked(taskMutation{Op: opPrune, IDs: ids}); err != nil {
 		return 0, err
 	}
 	mTaskPruned.Add(int64(len(ids)))

@@ -528,21 +528,26 @@ func (s *Server) dispatch(ctx context.Context, req wireRequest, claims *connClai
 		}
 		return wireResponse{OK: true}
 	case "finish_batch":
-		results := make([]wireResult, len(req.Finishes))
+		// The accepted resolutions are one commit (see DB.finishBatch).
+		ops := make([]resolution, len(req.Finishes))
 		for i, fin := range req.Finishes {
 			if r := s.wrongShardTask(fin.TaskID); r != nil {
 				// Per-op redirect: the routing client groups finishes by
 				// shard, so this is defensive, not a hot path.
-				results[i] = wireResult{Error: r.Error}
+				ops[i].Err = errors.New(r.Error)
 				continue
 			}
 			claims.release(fin.TaskID)
-			status, result, errMsg := StatusComplete, fin.Result, ""
+			ops[i] = resolution{ID: fin.TaskID, Epoch: fin.Epoch, Status: StatusComplete, Result: fin.Result}
 			if fin.Failed {
-				status, result, errMsg = StatusFailed, "", fin.ErrMsg
+				ops[i].Status, ops[i].Result, ops[i].ErrMsg = StatusFailed, "", fin.ErrMsg
 			}
-			if _, err := s.db.finish(fin.TaskID, fin.Epoch, status, result, errMsg); err != nil {
-				results[i] = wireResult{Error: err.Error(), Stale: errors.Is(err, ErrStaleClaim)}
+		}
+		s.db.finishBatch(ops)
+		results := make([]wireResult, len(ops))
+		for i, op := range ops {
+			if op.Err != nil {
+				results[i] = wireResult{Error: op.Err.Error(), Stale: errors.Is(op.Err, ErrStaleClaim)}
 			} else {
 				results[i] = wireResult{OK: true}
 			}

@@ -168,6 +168,10 @@ func TestBinaryClientPipelinesConcurrentOps(t *testing.T) {
 	const perWorker = 25
 	var wg sync.WaitGroup
 	errCh := make(chan error, workers)
+	// Each worker completes whichever task it popped, which need not be
+	// its own submission, so results are checked once every worker is
+	// done.
+	ids := make([][]int64, workers)
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func(w int) {
@@ -179,6 +183,7 @@ func TestBinaryClientPipelinesConcurrentOps(t *testing.T) {
 					errCh <- err
 					return
 				}
+				ids[w] = append(ids[w], id)
 				task, ok, err := c.Pop("pipe", time.Second)
 				if err != nil || !ok {
 					errCh <- fmt.Errorf("pop: ok=%v err=%v", ok, err)
@@ -186,10 +191,6 @@ func TestBinaryClientPipelinesConcurrentOps(t *testing.T) {
 				}
 				if err := c.Complete(task.ID, task.Epoch, "r"); err != nil {
 					errCh <- err
-					return
-				}
-				if _, done, err := c.Result(id); err != nil || !done {
-					errCh <- fmt.Errorf("result %d: done=%v err=%v", id, done, err)
 					return
 				}
 			}
@@ -200,6 +201,13 @@ func TestBinaryClientPipelinesConcurrentOps(t *testing.T) {
 	case err := <-errCh:
 		t.Fatal(err)
 	default:
+	}
+	for _, ws := range ids {
+		for _, id := range ws {
+			if _, done, err := c.Result(id); err != nil || !done {
+				t.Fatalf("result %d: done=%v err=%v", id, done, err)
+			}
+		}
 	}
 	st := db.Stats()
 	if st.Complete != workers*perWorker || st.Running != 0 || st.Queued != 0 {

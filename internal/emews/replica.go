@@ -3,12 +3,12 @@
 // A Follower is a warm standby for a shard primary. It bootstraps over the
 // existing TCP service (the wal_fetch op): first the primary's newest
 // compaction snapshot plus a shipping cursor, then a tail loop that pages
-// framed WAL records from that cursor forward. Every shipped record is
-// appended to the follower's own wal.Log (durable copy first, exactly the
-// primary's commitLocked ordering) and then applied through the same pure
-// applyLocked transition function the primary and crash recovery use — so
-// the follower's in-memory state and its on-disk log are both faithful
-// replicas, record for record.
+// framed WAL records from that cursor forward. Every shipped chunk is
+// appended to the follower's own wal.Log as one commit (durable copy
+// first, exactly the primary's persist-then-apply ordering) and then
+// applied through the same pure applyLocked transition function the
+// primary and crash recovery use — so the follower's in-memory state and
+// its on-disk log are both faithful replicas, record for record.
 //
 // Failover sequence (driven by a coordinator, e.g. the loadgen harness or
 // the daemon supervisor):
@@ -235,13 +235,18 @@ func (f *Follower) run(ctx context.Context) {
 	}
 }
 
-// apply appends and replays a run of framed WAL records. Durable copy
-// first, then the in-memory transition — the same ordering as the
-// primary's commitLocked, so the replica's log never lags its state.
+// apply appends and replays a run of framed WAL records (one shipped
+// chunk, at most wal.DefaultShipBytes) as one commit: the whole chunk is
+// decoded, appended with a single Append — one write and at most one
+// fsync — and then applied under one db.mu hold. Durable copy first,
+// then the in-memory transitions — the same ordering as the primary's
+// commits, so the replica's log never lags its state.
 func (f *Follower) apply(data []byte) error {
 	f.mu.Lock()
 	db, l := f.db, f.log
 	f.mu.Unlock()
+	var payloads [][]byte
+	var ms []taskMutation
 	for len(data) > 0 {
 		payload, n, err := wal.ParseRecord(data, 0)
 		if err != nil {
@@ -251,20 +256,27 @@ func (f *Follower) apply(data []byte) error {
 		if err := json.Unmarshal(payload, &m); err != nil {
 			return fmt.Errorf("emews: follower decode: %w", err)
 		}
-		if err := l.Append(payload); err != nil {
-			return err
-		}
-		db.mu.Lock()
-		_, aerr := db.applyLocked(&m)
-		db.mu.Unlock()
-		if aerr != nil {
-			return aerr
-		}
-		f.mu.Lock()
-		f.records++
-		f.mu.Unlock()
+		payloads = append(payloads, payload)
+		ms = append(ms, m)
 		data = data[n:]
 	}
+	if len(ms) == 0 {
+		return nil
+	}
+	if err := l.Append(payloads...); err != nil {
+		return err
+	}
+	db.mu.Lock()
+	for i := range ms {
+		if _, err := db.applyLocked(&ms[i]); err != nil {
+			db.mu.Unlock()
+			return err
+		}
+	}
+	db.mu.Unlock()
+	f.mu.Lock()
+	f.records += int64(len(ms))
+	f.mu.Unlock()
 	return nil
 }
 
@@ -380,7 +392,7 @@ func (f *Follower) Promote() (*DB, *wal.Log, error) {
 	}
 	sort.Slice(running, func(i, j int) bool { return running[i] < running[j] })
 	if len(running) > 0 {
-		if _, err := db.commitLocked(&taskMutation{Op: opRequeue, IDs: running}); err != nil {
+		if _, err := db.commitLocked(taskMutation{Op: opRequeue, IDs: running}); err != nil {
 			db.mu.Unlock()
 			return nil, nil, err
 		}

@@ -154,6 +154,10 @@ type DB struct {
 	leaseTimeout time.Duration
 	backend      wal.Backend // nil = in-memory only (the default)
 	wal          *wal.Log    // set by OpenDB; enables Compact
+	// pending is the reused scratch a batch op stages its mutations in
+	// between deciding and committing them, so batching allocates nothing
+	// per op. Guarded by mu; empty between ops.
+	pending []taskMutation
 	// shardIndex/shardCount stride the ID sequence so a shard group's
 	// databases allocate disjoint IDs (see ring.go). 0/1 (or 0/0) is the
 	// unsharded default: IDs 1, 2, 3, …
@@ -227,43 +231,17 @@ func (db *DB) Submit(taskType string, priority int, payload string) (*Future, er
 // SubmitRetry inserts a task that is automatically requeued on failure
 // until maxAttempts pops have been consumed.
 func (db *DB) SubmitRetry(taskType string, priority int, payload string, maxAttempts int) (*Future, error) {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	if db.closed {
-		return nil, ErrClosed
-	}
-	if taskType == "" {
-		return nil, errors.New("emews: task type required")
-	}
-	f, err := db.submitLocked(taskType, priority, payload, maxAttempts)
+	fs, err := db.SubmitBatchRetry(taskType, priority, []string{payload}, maxAttempts)
 	if err != nil {
 		return nil, err
 	}
-	db.cond.Broadcast()
-	return f, nil
-}
-
-// submitLocked inserts one task; the caller holds db.mu and broadcasts.
-func (db *DB) submitLocked(taskType string, priority int, payload string, maxAttempts int) (*Future, error) {
-	if maxAttempts < 1 {
-		maxAttempts = 1
-	}
-	t := Task{
-		ID: db.nextID + db.stride(), Type: taskType, Priority: priority, Payload: payload,
-		MaxAttempts: maxAttempts,
-		Status:      StatusQueued, Submitted: time.Now(),
-	}
-	if _, err := db.commitLocked(&taskMutation{Op: opSubmit, Task: &t}); err != nil {
-		return nil, err
-	}
-	mTaskSubmitted.Inc()
-	mQueueDepth.Inc()
-	return db.futures[t.ID], nil
+	return fs[0], nil
 }
 
 // SubmitBatch submits several payloads of one type at a single priority.
-// The batch is atomic: it takes the lock once, so no observer (Pop, Stats)
-// can see it half-submitted, and waiting workers are woken with a single
+// The batch is atomic: it takes the lock once and is one commit, so no
+// observer (Pop, Stats) can see it half-submitted, a WAL-backed database
+// writes and fsyncs it once, and waiting workers are woken with a single
 // broadcast instead of one per task.
 func (db *DB) SubmitBatch(taskType string, priority int, payloads []string) ([]*Future, error) {
 	return db.SubmitBatchRetry(taskType, priority, payloads, 1)
@@ -271,7 +249,8 @@ func (db *DB) SubmitBatch(taskType string, priority int, payloads []string) ([]*
 
 // SubmitBatchRetry is SubmitBatch with a per-task retry budget: every
 // task in the batch is requeued on failure until maxAttempts pops have
-// been consumed (DB.SubmitRetry semantics).
+// been consumed (DB.SubmitRetry semantics). A persistence fault submits
+// none of the batch.
 func (db *DB) SubmitBatchRetry(taskType string, priority int, payloads []string, maxAttempts int) ([]*Future, error) {
 	db.mu.Lock()
 	defer db.mu.Unlock()
@@ -281,23 +260,49 @@ func (db *DB) SubmitBatchRetry(taskType string, priority int, payloads []string,
 	if taskType == "" {
 		return nil, errors.New("emews: task type required")
 	}
-	out := make([]*Future, 0, len(payloads))
-	for _, p := range payloads {
-		f, err := db.submitLocked(taskType, priority, p, maxAttempts)
-		if err != nil {
-			// Fail-stop mid-batch: earlier tasks are committed and stay;
-			// report the persistence fault rather than a partial success.
-			if len(out) > 0 {
-				db.cond.Broadcast()
-			}
-			return nil, err
-		}
-		out = append(out, f)
+	if maxAttempts < 1 {
+		maxAttempts = 1
+	}
+	now := time.Now()
+	ms := db.pending[:0]
+	for i, p := range payloads {
+		ms = append(ms, taskMutation{Op: opSubmit, Task: &Task{
+			ID: db.nextID + db.stride()*int64(i+1), Type: taskType, Priority: priority, Payload: p,
+			MaxAttempts: maxAttempts,
+			Status:      StatusQueued, Submitted: now,
+		}})
+	}
+	defer db.releasePending(ms)
+	if err := db.persistLocked(ms); err != nil {
+		return nil, err
+	}
+	out := make([]*Future, len(ms))
+	for i := range ms {
+		_, _ = db.applyLocked(&ms[i]) // a submit always applies
+		out[i] = db.futures[ms[i].Task.ID]
 	}
 	if len(out) > 0 {
+		mTaskSubmitted.Add(int64(len(out)))
+		mQueueDepth.Add(int64(len(out)))
 		db.cond.Broadcast()
 	}
 	return out, nil
+}
+
+// maxPendingKeep bounds the scratch kept between batch ops, so one huge
+// batch does not pin its staging memory for the life of the database.
+const maxPendingKeep = 1024
+
+// releasePending clears the staged mutations (dropping their task
+// pointers) and keeps the scratch for the next batch op. The caller
+// holds db.mu.
+func (db *DB) releasePending(ms []taskMutation) {
+	if cap(ms) > maxPendingKeep {
+		db.pending = nil
+		return
+	}
+	clear(ms)
+	db.pending = ms[:0]
 }
 
 // Claim is a worker's lease on a running task.
@@ -310,11 +315,26 @@ type Claim struct {
 // Pop blocks until a task of taskType is available (or ctx cancels /
 // the DB closes) and claims it.
 func (db *DB) Pop(ctx context.Context, taskType string) (*Claim, error) {
+	cs, err := db.PopBatch(ctx, taskType, 1)
+	if err != nil {
+		return nil, err
+	}
+	return cs[0], nil
+}
+
+// PopBatch blocks until at least one task of taskType is available (or
+// ctx cancels / the DB closes), then claims up to max tasks in one lock
+// hold — the server-side half of the batched pop_batch wire op, which
+// amortizes wakeup, locking, and (with a WAL attached) the commit over
+// the whole batch: the claims are one write and at most one fsync. The
+// batch is all-or-none: if the commit fails, no task is claimed and the
+// error is returned.
+func (db *DB) PopBatch(ctx context.Context, taskType string, max int) ([]*Claim, error) {
 	// Wake the cond wait when ctx is canceled. The broadcast MUST happen
 	// under db.mu: the waiter re-checks ctx.Err() while holding the lock
 	// and only then calls cond.Wait(), so a locked broadcast cannot land
 	// in the window between the check and the wait. An unlocked broadcast
-	// could, losing the wakeup and hanging Pop until an unrelated
+	// could, losing the wakeup and hanging the pop until an unrelated
 	// Submit/Close broadcasts.
 	stop := make(chan struct{})
 	defer close(stop)
@@ -338,70 +358,13 @@ func (db *DB) Pop(ctx context.Context, taskType string) (*Claim, error) {
 		if db.closed {
 			return nil, ErrClosed
 		}
-		c, err := db.popLocked(taskType)
+		cs, err := db.popLocked(taskType, max)
 		if err != nil {
 			return nil, err
 		}
-		if c != nil {
+		if len(cs) > 0 {
 			mPopWait.ObserveSince(waitStart)
-			return c, nil
-		}
-		db.cond.Wait()
-	}
-}
-
-// PopBatch blocks until at least one task of taskType is available (or
-// ctx cancels / the DB closes), then claims up to max tasks in one lock
-// hold — the server-side half of the batched pop_batch wire op, which
-// amortizes wakeup, locking, and (with a WAL attached) commit ordering
-// over the whole batch. If a mid-batch commit fails after at least one
-// task was claimed, the claimed prefix is returned rather than an error:
-// those claims are real and must reach a worker.
-func (db *DB) PopBatch(ctx context.Context, taskType string, max int) ([]*Claim, error) {
-	if max < 1 {
-		max = 1
-	}
-	// Same locked-broadcast wakeup pattern as Pop; see the comment there.
-	stop := make(chan struct{})
-	defer close(stop)
-	go func() {
-		select {
-		case <-ctx.Done():
-			db.mu.Lock()
-			db.cond.Broadcast()
-			db.mu.Unlock()
-		case <-stop:
-		}
-	}()
-
-	waitStart := time.Now()
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	for {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		if db.closed {
-			return nil, ErrClosed
-		}
-		var out []*Claim
-		for len(out) < max {
-			c, err := db.popLocked(taskType)
-			if err != nil {
-				if len(out) > 0 {
-					mPopWait.ObserveSince(waitStart)
-					return out, nil
-				}
-				return nil, err
-			}
-			if c == nil {
-				break
-			}
-			out = append(out, c)
-		}
-		if len(out) > 0 {
-			mPopWait.ObserveSince(waitStart)
-			return out, nil
+			return cs, nil
 		}
 		db.cond.Wait()
 	}
@@ -414,24 +377,28 @@ func (db *DB) TryPop(taskType string) (*Claim, bool, error) {
 	if db.closed {
 		return nil, false, ErrClosed
 	}
-	c, err := db.popLocked(taskType)
-	if err != nil {
+	cs, err := db.popLocked(taskType, 1)
+	if err != nil || len(cs) == 0 {
 		return nil, false, err
 	}
-	if c != nil {
-		return c, true, nil
-	}
-	return nil, false, nil
+	return cs[0], true, nil
 }
 
-// popLocked claims the highest-priority queued task of taskType, or
-// returns (nil, nil) if none is queued. The caller holds db.mu.
-func (db *DB) popLocked(taskType string) (*Claim, error) {
+// popLocked claims up to max of the highest-priority queued tasks of
+// taskType as one commit, returning none if none is queued. The caller
+// holds db.mu.
+func (db *DB) popLocked(taskType string, max int) ([]*Claim, error) {
 	q, ok := db.queues[taskType]
 	if !ok {
 		return nil, nil
 	}
-	for q.Len() > 0 {
+	if max < 1 {
+		max = 1
+	}
+	now := time.Now()
+	ms := db.pending[:0]
+	defer func() { db.releasePending(ms) }()
+	for len(ms) < max && q.Len() > 0 {
 		item := heap.Pop(q).(heapItem)
 		t := db.tasks[item.id]
 		// Defensive lazy deletion: skip heap entries whose task is no
@@ -440,117 +407,244 @@ func (db *DB) popLocked(taskType string) (*Claim, error) {
 		if t == nil || t.Status != StatusQueued {
 			continue
 		}
-		if _, err := db.commitLocked(&taskMutation{Op: opPop, ID: t.ID, At: time.Now()}); err != nil {
-			// Fail-stop: the pop was never committed, so the task stays
-			// queued — put its heap entry back.
-			heap.Push(q, item)
-			return nil, err
+		// The claims apply only after the commit, so a task whose heap
+		// holds a second entry still reads as queued here. Every entry of
+		// a task carries the same (priority, ID) key, so its duplicates
+		// pop back to back: comparing with the last claim is enough to
+		// claim each task at most once per batch.
+		if n := len(ms); n > 0 && ms[n-1].ID == t.ID {
+			continue
 		}
-		mTaskPopped.Inc()
-		mQueueDepth.Dec()
-		mRunningNow.Inc()
-		return &Claim{Task: *t, db: db}, nil
+		ms = append(ms, taskMutation{Op: opPop, ID: t.ID, At: now})
 	}
-	return nil, nil
+	if len(ms) == 0 {
+		return nil, nil
+	}
+	if err := db.persistLocked(ms); err != nil {
+		// Fail-stop: no pop was committed, so every task stays queued —
+		// put its heap entry back.
+		for _, m := range ms {
+			heap.Push(q, heapItem{id: m.ID, priority: db.tasks[m.ID].Priority, seq: m.ID})
+		}
+		return nil, err
+	}
+	out := make([]*Claim, len(ms))
+	for i := range ms {
+		_, _ = db.applyLocked(&ms[i]) // the task was found queued above
+		out[i] = &Claim{Task: *db.tasks[ms[i].ID], db: db}
+	}
+	mTaskPopped.Add(int64(len(out)))
+	mQueueDepth.Add(-int64(len(out)))
+	mRunningNow.Add(int64(len(out)))
+	return out, nil
 }
 
-// finish resolves an attempt of task id. epoch > 0 fences the resolution:
-// it must match the task's current attempt epoch (the one recorded at pop
-// time), otherwise the claim is stale — its task was reclaimed, requeued,
-// and possibly re-popped — and the resolution is rejected with
-// ErrStaleClaim instead of silently corrupting the newer attempt.
-// epoch == 0 is the unfenced legacy path (old wire clients) and only
-// checks that the task is running. A duplicate delivery of the same
-// attempt's resolution (same epoch, already recorded) returns nil, which
-// makes fenced Complete/Fail safe to retry over a flaky transport.
-//
-// requeued reports whether the resolution put the task back on the queue
-// (a failed attempt with retry budget left) rather than terminating it.
+// resolution is one op of finishBatch: the resolution of a claimed
+// attempt, and its outcome. An op whose Err the caller already set (e.g. a
+// wrong-shard redirect) is skipped.
+type resolution struct {
+	ID, Epoch      int64
+	Status         TaskStatus
+	Result, ErrMsg string
+
+	// Requeued reports that the resolution put the task back on the
+	// queue (a failed attempt with retry budget left) rather than
+	// terminating it; Err is the rejection, if any.
+	Requeued bool
+	Err      error
+
+	// Set under db.mu for the side effects owed after unlock.
+	staged  bool          // a mutation for this op is in the pending group
+	applied bool          // that mutation was committed and applied
+	service time.Duration // started → finished of a terminal resolution
+	done    *Future       // future to close for a terminal resolution
+}
+
+// maxFinishGroup bounds the pending group finishBatch scans for repeats
+// of a task, so a huge finish_batch costs linear, not quadratic, time.
+const maxFinishGroup = 256
+
+// finish resolves one attempt of task id: finishBatch with a one-op batch.
+// epoch > 0 fences the resolution (see finishBatch); requeued reports
+// whether the resolution put the task back on the queue (a failed attempt
+// with retry budget left) rather than terminating it.
 func (db *DB) finish(id, epoch int64, status TaskStatus, result, errMsg string) (requeued bool, err error) {
+	ops := [1]resolution{{ID: id, Epoch: epoch, Status: status, Result: result, ErrMsg: errMsg}}
+	db.finishBatch(ops[:])
+	return ops[0].Requeued, ops[0].Err
+}
+
+// finishBatch resolves several attempts, recording each outcome in its
+// op, and commits every accepted resolution as one commit: one write and
+// at most one fsync with a WAL attached. Metrics and future closes fire
+// after the lock is released.
+//
+// epoch > 0 fences a resolution: it must match the task's current attempt
+// epoch (the one recorded at pop time), otherwise the claim is stale —
+// its task was reclaimed, requeued, and possibly re-popped — and the
+// resolution is rejected with ErrStaleClaim instead of silently
+// corrupting the newer attempt. epoch == 0 is the unfenced legacy path
+// (old wire clients) and only checks that the task is running. A
+// duplicate delivery of the same attempt's resolution (same epoch,
+// already recorded) is acknowledged, which makes fenced Complete/Fail
+// safe to retry over a flaky transport.
+//
+// Resolutions apply only after the commit, so an op naming a task that
+// an earlier op of the batch already resolved first commits the pending
+// group: the repeat then sees the first resolution, and is acknowledged
+// as a duplicate or rejected as stale exactly as a later request would
+// be.
+func (db *DB) finishBatch(ops []resolution) {
 	db.mu.Lock()
-	t, ok := db.tasks[id]
-	if !ok {
-		db.mu.Unlock()
-		return false, fmt.Errorf("emews: unknown task %d", id)
+	ms := db.pending[:0]
+	first := 0 // first op of the pending group
+	for i := range ops {
+		op := &ops[i]
+		if op.Err != nil {
+			continue
+		}
+		if len(ms) == maxFinishGroup || stagedTask(ms, op.ID) {
+			db.commitFinishesLocked(ops[first:i], ms)
+			clear(ms)
+			ms, first = ms[:0], i
+		}
+		if m, ok := db.decideFinishLocked(op); ok {
+			ms = append(ms, m)
+			op.staged = true
+		}
 	}
-	if epoch > 0 {
-		if t.Epoch != epoch {
-			cur := t.Epoch
-			db.mu.Unlock()
+	db.commitFinishesLocked(ops[first:], ms)
+	db.releasePending(ms)
+	db.mu.Unlock()
+
+	for i := range ops {
+		op := &ops[i]
+		if !op.applied {
+			continue
+		}
+		mRunningNow.Dec()
+		if op.Requeued {
+			mTaskRequeued.Inc()
+			mQueueDepth.Inc()
+			continue
+		}
+		mTaskService.Observe(op.service)
+		switch op.Status {
+		case StatusComplete:
+			mTaskCompleted.Inc()
+		case StatusFailed:
+			mTaskFailed.Inc()
+		case StatusCanceled:
+			mTaskCanceled.Inc()
+		}
+		if op.done != nil {
+			close(op.done.done)
+		}
+	}
+}
+
+// stagedTask reports whether the pending group already resolves task id.
+func stagedTask(ms []taskMutation, id int64) bool {
+	for i := range ms {
+		if ms[i].ID == id {
+			return true
+		}
+	}
+	return false
+}
+
+// decideFinishLocked runs the fence checks for op against the current
+// state. It either settles op without a mutation (a rejection in op.Err,
+// or an acknowledged duplicate) or returns the mutation that resolves it.
+// The caller holds db.mu.
+func (db *DB) decideFinishLocked(op *resolution) (taskMutation, bool) {
+	t, ok := db.tasks[op.ID]
+	if !ok {
+		op.Err = fmt.Errorf("emews: unknown task %d", op.ID)
+		return taskMutation{}, false
+	}
+	if op.Epoch > 0 {
+		if t.Epoch != op.Epoch {
 			mStaleRejected.Inc()
-			return false, fmt.Errorf("emews: task %d attempt %d superseded by attempt %d: %w", id, epoch, cur, ErrStaleClaim)
+			op.Err = fmt.Errorf("emews: task %d attempt %d superseded by attempt %d: %w", op.ID, op.Epoch, t.Epoch, ErrStaleClaim)
+			return taskMutation{}, false
 		}
 		switch t.Status {
 		case StatusRunning:
-			// The claim is current; fall through and resolve it.
+			// The claim is current; resolve it below.
 		case StatusComplete, StatusFailed:
-			if t.Status == status {
-				// Duplicate delivery of this attempt's resolution
-				// (e.g. a wire retry after a lost response): first
-				// writer wins, the retry is acknowledged as success.
-				db.mu.Unlock()
-				return false, nil
+			if t.Status == op.Status {
+				// Duplicate delivery of this attempt's resolution (e.g.
+				// a wire retry after a lost response): first writer
+				// wins, the retry is acknowledged as success.
+				return taskMutation{}, false
 			}
-			st := t.Status
-			db.mu.Unlock()
 			mStaleRejected.Inc()
-			return false, fmt.Errorf("emews: task %d already %v: %w", id, st, ErrStaleClaim)
+			op.Err = fmt.Errorf("emews: task %d already %v: %w", op.ID, t.Status, ErrStaleClaim)
+			return taskMutation{}, false
 		case StatusQueued:
-			if status == StatusFailed {
+			if op.Status == StatusFailed {
 				// The attempt's failure was already recorded by a
 				// requeue (lease reap or connection loss).
-				db.mu.Unlock()
-				return true, nil
+				op.Requeued = true
+				return taskMutation{}, false
 			}
-			db.mu.Unlock()
 			mStaleRejected.Inc()
-			return false, fmt.Errorf("emews: task %d attempt %d was reclaimed and requeued: %w", id, epoch, ErrStaleClaim)
+			op.Err = fmt.Errorf("emews: task %d attempt %d was reclaimed and requeued: %w", op.ID, op.Epoch, ErrStaleClaim)
+			return taskMutation{}, false
 		default:
-			db.mu.Unlock()
 			mStaleRejected.Inc()
-			return false, fmt.Errorf("emews: task %d canceled: %w", id, ErrStaleClaim)
+			op.Err = fmt.Errorf("emews: task %d canceled: %w", op.ID, ErrStaleClaim)
+			return taskMutation{}, false
 		}
 	} else if t.Status != StatusRunning {
-		db.mu.Unlock()
-		return false, fmt.Errorf("emews: task %d not running (state %v)", id, t.Status)
+		op.Err = fmt.Errorf("emews: task %d not running (state %v)", op.ID, t.Status)
+		return taskMutation{}, false
 	}
-	// The decision is made under the lock: a failed attempt with budget
-	// left goes back to the queue (automatic retry) instead of terminating
-	// the future. The decision is recorded in the mutation so replay does
-	// not have to re-derive it.
-	requeue := status == StatusFailed && t.Attempts < t.MaxAttempts && !db.closed
-	res, err := db.commitLocked(&taskMutation{
-		Op: opFinish, ID: id, Status: status, Result: result, ErrMsg: errMsg,
-		Requeued: requeue, At: time.Now(),
-	})
-	if err != nil {
-		db.mu.Unlock()
-		return false, err
+	// A failed attempt with budget left goes back to the queue (automatic
+	// retry) instead of terminating the future. The decision is recorded
+	// in the mutation so replay does not have to re-derive it.
+	op.Requeued = op.Status == StatusFailed && t.Attempts < t.MaxAttempts && !db.closed
+	return taskMutation{
+		Op: opFinish, ID: op.ID, Status: op.Status, Result: op.Result, ErrMsg: op.ErrMsg,
+		Requeued: op.Requeued, At: time.Now(),
+	}, true
+}
+
+// commitFinishesLocked commits ms, the mutations staged by the ops of
+// ops that have staged set, in order, and applies them; on a persistence
+// fault every staged op fails with it. The caller holds db.mu.
+func (db *DB) commitFinishesLocked(ops []resolution, ms []taskMutation) {
+	if len(ms) == 0 {
+		return
 	}
-	if requeue {
+	err := db.persistLocked(ms)
+	requeued := false
+	j := 0
+	for i := range ops {
+		op := &ops[i]
+		if !op.staged {
+			continue
+		}
+		op.staged = false
+		if err != nil {
+			op.Requeued, op.Err = false, err
+			continue
+		}
+		res, _ := db.applyLocked(&ms[j]) // the task was found running above
+		j++
+		op.applied = true
+		if op.Requeued {
+			requeued = true
+			continue
+		}
+		t := db.tasks[op.ID]
+		op.service = t.Finished.Sub(t.Started)
+		op.done = res.terminal
+	}
+	if requeued {
 		db.cond.Broadcast()
-		db.mu.Unlock()
-		mTaskRequeued.Inc()
-		mRunningNow.Dec()
-		mQueueDepth.Inc()
-		return true, nil
 	}
-	service := t.Finished.Sub(t.Started)
-	db.mu.Unlock()
-	mRunningNow.Dec()
-	mTaskService.Observe(service)
-	switch status {
-	case StatusComplete:
-		mTaskCompleted.Inc()
-	case StatusFailed:
-		mTaskFailed.Inc()
-	case StatusCanceled:
-		mTaskCanceled.Inc()
-	}
-	if res.terminal != nil {
-		close(res.terminal.done)
-	}
-	return false, nil
 }
 
 // Complete marks the claimed task successful with the given result. It

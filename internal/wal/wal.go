@@ -21,10 +21,12 @@
 // boots with every fsynced record intact. Tail damage never refuses a
 // boot.
 //
-// Appends are framed with EncodeRecord and written with a single write
-// syscall; the fsync policy (SyncAlways, SyncInterval, SyncNever) trades
-// durability of the most recent records for throughput. Everything is
-// stdlib-only.
+// One Append call is one commit: every record it carries is framed with
+// EncodeRecord into one buffer, written with a single write syscall, and
+// the fsync policy (SyncAlways, SyncInterval, SyncNever) is applied once
+// per call, trading durability of the most recent commits for throughput.
+// A crash mid-write leaves a prefix of the call's records on disk, which
+// recovery replays up to the torn tail. Everything is stdlib-only.
 package wal
 
 import (
@@ -44,21 +46,23 @@ import (
 // records through. The in-memory default is no backend at all (a nil
 // interface); *Log is the durable implementation.
 type Backend interface {
-	// Append durably records one serialized mutation. A mutation must not
-	// be applied to in-memory state unless Append succeeded (fail-stop).
-	Append(rec []byte) error
+	// Append durably records serialized mutations as one commit. A
+	// mutation must not be applied to in-memory state unless Append
+	// succeeded (fail-stop).
+	Append(recs ...[]byte) error
 }
 
 // SyncPolicy selects when appended records are fsynced.
 type SyncPolicy int
 
 const (
-	// SyncAlways fsyncs after every append: no committed mutation is ever
-	// lost to a crash. The default.
+	// SyncAlways fsyncs after every Append call: no committed mutation is
+	// ever lost to a crash. The default.
 	SyncAlways SyncPolicy = iota
-	// SyncInterval fsyncs at most once per Options.SyncEvery (checked on
-	// the append path): a crash can lose the records of the last
-	// interval, never corrupt older ones.
+	// SyncInterval fsyncs at most once per Options.SyncEvery: on the
+	// append path once the interval has elapsed, and otherwise from a
+	// background flush armed by the first unsynced append. A crash can
+	// lose the records of the last interval, never corrupt older ones.
 	SyncInterval
 	// SyncNever leaves flushing to the OS: fastest, weakest.
 	SyncNever
@@ -139,6 +143,8 @@ type Log struct {
 	snap     []byte   // snapshot payload, released after Replay
 	buf      []byte   // append scratch buffer
 	lastSync time.Time
+	dirty    bool        // bytes written since the last fsync
+	flush    *time.Timer // pending SyncInterval background flush
 	replayed bool
 	closed   bool
 }
@@ -345,9 +351,11 @@ func (l *Log) Replay(apply func(rec []byte) error) (int, error) {
 	return count, nil
 }
 
-// Append durably appends one record (implementing Backend). The write is
-// a single syscall; fsync follows the configured policy.
-func (l *Log) Append(rec []byte) error {
+// Append durably appends recs as one commit (implementing Backend): all
+// records are framed into one buffer and written with a single syscall,
+// and the fsync policy is applied once for the whole call. A record over
+// MaxRecordBytes rejects the call before anything is written.
+func (l *Log) Append(recs ...[]byte) error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if l.closed {
@@ -356,15 +364,22 @@ func (l *Log) Append(rec []byte) error {
 	if !l.replayed {
 		return errors.New("wal: Append before Replay")
 	}
-	if len(rec) > l.opts.MaxRecordBytes {
-		return fmt.Errorf("wal: record of %d bytes exceeds MaxRecordBytes %d", len(rec), l.opts.MaxRecordBytes)
+	if len(recs) == 0 {
+		return nil
 	}
-	l.buf = EncodeRecord(l.buf[:0], rec)
+	l.buf = l.buf[:0]
+	for _, rec := range recs {
+		if len(rec) > l.opts.MaxRecordBytes {
+			return fmt.Errorf("wal: record of %d bytes exceeds MaxRecordBytes %d", len(rec), l.opts.MaxRecordBytes)
+		}
+		l.buf = EncodeRecord(l.buf, rec)
+	}
 	if _, err := l.f.Write(l.buf); err != nil {
 		return fmt.Errorf("wal: append: %w", err)
 	}
 	l.size += int64(len(l.buf))
-	l.met.appends.Inc()
+	l.dirty = true
+	l.met.appends.Add(int64(len(recs)))
 	l.met.bytes.Add(int64(len(l.buf)))
 	switch l.opts.Policy {
 	case SyncAlways:
@@ -376,12 +391,37 @@ func (l *Log) Append(rec []byte) error {
 			if err := l.syncLocked(); err != nil {
 				return err
 			}
+		} else if l.flush == nil {
+			l.flush = time.AfterFunc(l.opts.SyncEvery, l.intervalFlush)
 		}
 	}
 	if l.size >= l.opts.SegmentBytes {
 		return l.rotateLocked()
 	}
 	return nil
+}
+
+// intervalFlush is the SyncInterval background flush: it fsyncs records
+// an append left unsynced, so a burst followed by idleness is still
+// durable within one SyncEvery.
+func (l *Log) intervalFlush() {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	l.flush = nil
+	if l.closed || l.f == nil || !l.dirty {
+		return
+	}
+	if err := l.syncLocked(); err != nil {
+		l.opts.Logf("wal: background flush: %v", err)
+	}
+}
+
+// stopFlushLocked cancels a pending background flush.
+func (l *Log) stopFlushLocked() {
+	if l.flush != nil {
+		l.flush.Stop()
+		l.flush = nil
+	}
 }
 
 // Sync forces an fsync of the active segment.
@@ -399,6 +439,7 @@ func (l *Log) syncLocked() error {
 		return fmt.Errorf("wal: fsync: %w", err)
 	}
 	l.lastSync = time.Now()
+	l.dirty = false
 	l.met.fsyncs.Inc()
 	return nil
 }
@@ -437,6 +478,7 @@ func (l *Log) WriteSnapshot(state []byte) error {
 	if !l.replayed {
 		return errors.New("wal: WriteSnapshot before Replay")
 	}
+	l.stopFlushLocked()
 	if err := l.syncLocked(); err != nil {
 		return err
 	}
@@ -520,6 +562,7 @@ func (l *Log) Close() error {
 		return nil
 	}
 	l.closed = true
+	l.stopFlushLocked()
 	if l.f == nil {
 		return nil
 	}

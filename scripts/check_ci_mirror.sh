@@ -18,7 +18,7 @@ fi
 # (other jobs — coverage, soak — have their own make targets and are not
 # part of the mirrored list).
 yml_steps=$(awk '
-    /^  [a-zA-Z_-]+:[ ]*$/ { in_test = ($1 == "test:") }
+    /^  [a-zA-Z0-9_-]+:[ ]*$/ { in_test = ($1 == "test:") }
     in_test && $1 == "run:" && $2 == "make" { print $3 }
 ' .github/workflows/ci.yml)
 if [ -z "$yml_steps" ]; then
@@ -49,7 +49,7 @@ for pair in $ci_jobs; do
     job=${pair%%:*}
     target=${pair#*:}
     job_targets=$(awk -v job="$job" '
-        /^  [a-zA-Z_-]+:[ ]*$/ { in_job = ($1 == job ":") }
+        /^  [a-zA-Z0-9_-]+:[ ]*$/ { in_job = ($1 == job ":") }
         in_job && $1 == "run:" && $2 == "make" { print $3 }
     ' .github/workflows/ci.yml)
     found=no
@@ -69,8 +69,8 @@ done
 # it, which is exactly the drift the mirror rule exists to prevent.
 yml_jobs=$(awk '
     /^jobs:/ { in_jobs = 1; next }
-    /^[a-zA-Z_-]+:/ { in_jobs = 0 }
-    in_jobs && /^  [a-zA-Z_-]+:[ ]*$/ { sub(/:$/, "", $1); print $1 }
+    /^[a-zA-Z0-9_-]+:/ { in_jobs = 0 }
+    in_jobs && /^  [a-zA-Z0-9_-]+:[ ]*$/ { sub(/:$/, "", $1); print $1 }
 ' .github/workflows/ci.yml)
 for job in $yml_jobs; do
     [ "$job" = "test" ] && continue
