@@ -6,7 +6,7 @@ GO ?= go
 # Coverage floor for cover-check (percent of statements in internal/...).
 COVER_FLOOR ?= 60
 
-.PHONY: all build vet fmt-check ci check-ci-mirror test test-go test-short test-shuffle test-single-core race race-lifecycle race-numerics race-all smoke-ctl soak soak-shard soak-tenant staticcheck bench bench-smoke bench-e2e-smoke bench-json bench-compare fuzz-smoke figures figures-quick cover cover-check clean
+.PHONY: all build vet fmt-check ci check-ci-mirror check-tracked-ignored test test-go test-short test-shuffle test-single-core race race-lifecycle race-numerics race-all smoke-ctl soak soak-shard soak-tenant staticcheck bench bench-smoke bench-e2e-smoke bench-json bench-compare fuzz-smoke figures figures-quick cover cover-check clean
 
 all: build test
 
@@ -17,7 +17,7 @@ all: build test
 # build when the two lists diverge. To change the pipeline, edit this
 # variable and mirror the step list in ci.yml — see DESIGN.md,
 # "Load & chaos testing", for the mirror rule.
-CI_STEPS := check-ci-mirror vet fmt-check build test-go test-shuffle test-single-core race-lifecycle race-numerics smoke-ctl
+CI_STEPS := check-ci-mirror check-tracked-ignored vet fmt-check build test-go test-shuffle test-single-core race-lifecycle race-numerics smoke-ctl
 
 # CI_JOBS maps each dedicated (non-`test`) ci.yml job to the make target
 # it must run, as job:target pairs. scripts/check_ci_mirror.sh verifies
@@ -29,6 +29,17 @@ ci: $(CI_STEPS)
 
 check-ci-mirror:
 	./scripts/check_ci_mirror.sh
+
+# Generated output (soak reports, coverage, fresh bench snapshots) is
+# listed in .gitignore and must not be committed: a tracked file that is
+# also ignored goes stale silently and `make clean` dirties the tree.
+check-tracked-ignored:
+	@tracked=$$(git ls-files -ci --exclude-standard); \
+	if [ -n "$$tracked" ]; then \
+		echo "tracked files that .gitignore ignores (git rm --cached them):"; \
+		echo "$$tracked"; \
+		exit 1; \
+	fi
 
 build:
 	$(GO) build ./...

@@ -624,20 +624,17 @@ func BenchmarkSurrogateCrossover(b *testing.B) {
 
 // BenchmarkSubstrateThroughput measures the EMEWS wire substrate end to
 // end over real TCP: submit -> pop -> complete for every task, driven by
-// four worker connections. The sub-benchmarks compare the legacy
-// newline-delimited JSON framing at batch 1 against the binary v2 framing
-// at batch 1 and batch 16 (pop_batch/finish_batch, one exchange per
-// lease). Reported metrics: tasks/s and the p99 server-side pop wait.
+// four worker connections. The sub-benchmarks compare batch 1 against
+// batch 16 (pop_batch/finish_batch, one exchange per lease). Reported
+// metrics: tasks/s and the p99 server-side pop wait.
 func BenchmarkSubstrateThroughput(b *testing.B) {
 	const workers = 4
 	for _, mode := range []struct {
-		name   string
-		batch  int
-		legacy bool
+		name  string
+		batch int
 	}{
-		{"json-b1", 1, true},
-		{"binary-b1", 1, false},
-		{"binary-b16", 16, false},
+		{"binary-b1", 1},
+		{"binary-b16", 16},
 	} {
 		b.Run(mode.name, func(b *testing.B) {
 			db := emews.NewDB()
@@ -648,13 +645,7 @@ func BenchmarkSubstrateThroughput(b *testing.B) {
 			}
 			defer srv.Close()
 
-			clientOpts := func() []emews.ClientOption {
-				opts := []emews.ClientOption{emews.WithOpTimeout(10 * time.Second)}
-				if mode.legacy {
-					opts = append(opts, emews.WithLegacyFraming())
-				}
-				return opts
-			}
+			opTimeout := emews.WithOpTimeout(10 * time.Second)
 
 			var completed atomic.Int64
 			done := make(chan struct{})
@@ -663,7 +654,7 @@ func BenchmarkSubstrateThroughput(b *testing.B) {
 				wg.Add(1)
 				go func() {
 					defer wg.Done()
-					cl, err := emews.Dial(srv.Addr(), clientOpts()...)
+					cl, err := emews.Dial(srv.Addr(), opTimeout)
 					if err != nil {
 						b.Error(err)
 						return
@@ -706,7 +697,7 @@ func BenchmarkSubstrateThroughput(b *testing.B) {
 				}()
 			}
 
-			driver, err := emews.Dial(srv.Addr(), clientOpts()...)
+			driver, err := emews.Dial(srv.Addr(), opTimeout)
 			if err != nil {
 				b.Fatal(err)
 			}

@@ -394,3 +394,63 @@ func TestFollowerAppliesChunkAsOneCommit(t *testing.T) {
 	db.Close()
 	l.Close()
 }
+
+// A lost connection's claims are failed in one commit: a worker that
+// leased 16 tasks over one pop_batch and then vanished costs one fsync,
+// and every task is requeued.
+func TestLostConnectionClaimsAreOneCommit(t *testing.T) {
+	name := "wal.test.lostclaims"
+	l, err := wal.Open(t.TempDir(), wal.Options{Name: name, Policy: wal.SyncAlways})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	db, err := OpenDB(l)
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv, err := Serve(db, "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	if _, err := db.SubmitBatchRetry("m", 0, payloads("p", 16), 2); err != nil {
+		t.Fatal(err)
+	}
+
+	conn, r := rawConn(t, srv.Addr())
+	frame, err := appendRequestFrame(nil, 1, &wireRequest{Op: opcPopBatch, Type: "m", Max: 16, TimeoutMS: 1000})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := conn.Write(frame); err != nil {
+		t.Fatal(err)
+	}
+	code, _, payload, err := readFrame(r)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := decodeResponsePayload(code, payload)
+	putWireBuf(payload)
+	if err != nil || len(resp.Tasks) != 16 {
+		t.Fatalf("pop_batch leased %d tasks, %v", len(resp.Tasks), err)
+	}
+
+	_, f0 := walCounters(name)
+	lost := mNetLostClaims.Value()
+	conn.Close()
+	deadline := time.Now().Add(5 * time.Second)
+	for mNetLostClaims.Value()-lost < 16 {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d of 16 claims failed after the connection closed", mNetLostClaims.Value()-lost)
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	if _, f1 := walCounters(name); f1-f0 != 1 {
+		t.Fatalf("lost claims cost %d fsyncs, want 1", f1-f0)
+	}
+	if st := db.Stats(); st.Queued != 16 || st.Running != 0 {
+		t.Fatalf("stats after connection loss = %+v, want 16 requeued", st)
+	}
+	statsBalanced(t, db)
+}

@@ -2,40 +2,33 @@
 // separation of ME algorithm processes from worker pools running on other
 // resources.
 //
-// Two framings share one dispatch layer:
+// Every connection opens with a version hello and speaks length-prefixed
+// binary frames with request ids, so a connection can pipeline many ops
+// and the server answers out of order. See wirev2.go for the frame layout
+// and the hello; netv2.go holds the server reader/dispatcher/writer split
+// and the client session demux.
 //
-//   - v2 (default): length-prefixed binary frames with request ids, so a
-//     connection can pipeline many ops and the server answers out of
-//     order. See wirev2.go for the frame layout and the connect-time
-//     negotiation; netv2.go holds the server reader/dispatcher/writer
-//     split and the client session demux.
-//   - v1 (legacy): newline-delimited JSON request/response, one op in
-//     flight per connection. New servers detect a JSON client by its
-//     first byte and fall back; new clients detect a JSON-only server by
-//     its handshake reply and fall back. Old and new deployments mix
-//     freely.
+// Request ops and their fields (the codec carries them positionally):
 //
-// Request ops and their fields (JSON names; the binary codec carries the
-// same fields positionally):
-//
-//	submit       {op, type, priority, payload[, max_attempts]}   -> {ok, task_id}
-//	pop          {op, type, timeout_ms}                          -> {ok, task_id, epoch, payload} | {ok, empty:true}
-//	complete     {op, task_id, epoch, result}                    -> {ok} | {error, stale?}
-//	fail         {op, task_id, epoch, err_msg}                   -> {ok} | {error, stale?}
-//	result       {op, task_id}                                   -> {ok, done, failed?, result|error}
-//	stats        {op}                                            -> {ok, stats}
-//	submit_batch {op, type, priority, payloads[, max_attempts]}  -> {ok, task_ids}
-//	pop_batch    {op, type, max, timeout_ms}                     -> {ok, tasks} | {ok, empty:true}
-//	finish_batch {op, finishes:[{task_id, epoch, failed, ...}]}  -> {ok, results:[{ok, stale?, error?}]}
+//	submit       {type, priority, payload[, max_attempts, key]}  -> {ok, task_id}
+//	pop          {type, timeout_ms}                              -> {ok, task_id, epoch, payload} | {ok, empty}
+//	complete     {task_id, epoch, result}                        -> {ok} | {error, stale?}
+//	fail         {task_id, epoch, err_msg}                       -> {ok} | {error, stale?}
+//	result       {task_id}                                       -> {ok, done, failed?, result|error}
+//	stats        {}                                              -> {ok, stats}
+//	submit_batch {type, priority, payloads[, max_attempts, key]} -> {ok, task_ids}
+//	pop_batch    {type, max, timeout_ms}                         -> {ok, tasks} | {ok, empty}
+//	finish_batch {finishes:[{task_id, epoch, failed, ...}]}      -> {ok, results:[{ok, stale?, error?}]}
+//	wal_fetch    {seg, off}                                      -> {ok, seg, off, data, snapshot?}
 //
 // Claim fencing: every pop response carries the attempt epoch assigned by
 // the database. complete/fail must echo it back; a resolution whose epoch
 // no longer matches the task's current attempt (the lease expired and the
 // task was requeued/re-popped) is rejected with stale=true in the
-// response. epoch 0 on complete/fail is accepted for legacy clients and
-// falls back to the unfenced status-only check. Fenced complete/fail are
-// idempotent per attempt: re-sending the same resolution (e.g. after a
-// lost response) succeeds without effect.
+// response. epoch 0 on complete/fail is the unfenced path: it falls back
+// to the status-only check. Fenced complete/fail are idempotent per
+// attempt: re-sending the same resolution (e.g. after a lost response)
+// succeeds without effect.
 //
 // Connection-scoped claims: the server remembers which task attempts each
 // connection has popped but not yet resolved. When the connection drops —
@@ -49,10 +42,11 @@ package emews
 import (
 	"bufio"
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net"
+	"sort"
 	"sync"
 	"time"
 
@@ -60,92 +54,92 @@ import (
 )
 
 type wireRequest struct {
-	Op        string `json:"op"`
-	Type      string `json:"type,omitempty"`
-	Priority  int    `json:"priority,omitempty"`
-	Payload   string `json:"payload,omitempty"`
-	TaskID    int64  `json:"task_id,omitempty"`
-	Epoch     int64  `json:"epoch,omitempty"`
-	Result    string `json:"result,omitempty"`
-	ErrMsg    string `json:"err_msg,omitempty"`
-	TimeoutMS int    `json:"timeout_ms,omitempty"`
+	Op        byte // opcSubmit, opcPop, ... (wirev2.go)
+	Type      string
+	Priority  int
+	Payload   string
+	TaskID    int64
+	Epoch     int64
+	Result    string
+	ErrMsg    string
+	TimeoutMS int
 	// MaxAttempts > 0 on submit/submit_batch enables automatic
 	// requeue-on-failure up to that many attempts (DB.SubmitRetry
 	// semantics); 0 keeps the single-attempt default.
-	MaxAttempts int `json:"max_attempts,omitempty"`
+	MaxAttempts int
 	// Max bounds how many tasks one pop_batch may lease.
-	Max      int          `json:"max,omitempty"`
-	Payloads []string     `json:"payloads,omitempty"` // submit_batch
-	Finishes []wireFinish `json:"finishes,omitempty"` // finish_batch
+	Max      int
+	Payloads []string     // submit_batch
+	Finishes []wireFinish // finish_batch
 	// Key is the shard-routing key of a submit. A server with a shard
 	// identity verifies it against its own ring and answers a wrong_shard
 	// redirect when the key belongs elsewhere; an empty key skips the
-	// check (unsharded and legacy clients).
-	Key string `json:"key,omitempty"`
+	// check (unsharded clients).
+	Key string
 	// Seg/Off are the WAL shipping cursor of a wal_fetch (replication).
 	// Seg 0 requests the bootstrap state (snapshot + starting cursor).
-	Seg int   `json:"seg,omitempty"`
-	Off int64 `json:"off,omitempty"`
+	Seg int
+	Off int64
 }
 
 // wireFinish is one resolution inside a finish_batch.
 type wireFinish struct {
-	TaskID int64  `json:"task_id"`
-	Epoch  int64  `json:"epoch,omitempty"`
-	Failed bool   `json:"failed,omitempty"`
-	Result string `json:"result,omitempty"`
-	ErrMsg string `json:"err_msg,omitempty"`
+	TaskID int64
+	Epoch  int64
+	Failed bool
+	Result string
+	ErrMsg string
 }
 
 // wireTask is one claim inside a pop_batch response.
 type wireTask struct {
-	ID      int64  `json:"id"`
-	Epoch   int64  `json:"epoch"`
-	Payload string `json:"payload,omitempty"`
+	ID      int64
+	Epoch   int64
+	Payload string
 }
 
 // wireResult is one per-op outcome inside a finish_batch response.
 type wireResult struct {
-	OK    bool   `json:"ok"`
-	Stale bool   `json:"stale,omitempty"`
-	Error string `json:"error,omitempty"`
+	OK    bool
+	Stale bool
+	Error string
 }
 
 type wireResponse struct {
-	OK      bool   `json:"ok"`
-	Error   string `json:"error,omitempty"`
-	Stale   bool   `json:"stale,omitempty"` // Error is a stale-claim rejection
-	TaskID  int64  `json:"task_id,omitempty"`
-	Epoch   int64  `json:"epoch,omitempty"`
-	Payload string `json:"payload,omitempty"`
-	Result  string `json:"result,omitempty"`
-	Done    bool   `json:"done,omitempty"`
+	OK      bool
+	Error   string
+	Stale   bool // Error is a stale-claim rejection
+	TaskID  int64
+	Epoch   int64
+	Payload string
+	Result  string
+	Done    bool
 	// Failed marks a result response for a task that terminated
 	// unsuccessfully. Clients must key on this, not on Error being
 	// non-empty: a task can fail with an empty message.
-	Failed  bool         `json:"failed,omitempty"`
-	Empty   bool         `json:"empty,omitempty"`
-	Tasks   []wireTask   `json:"tasks,omitempty"`    // pop_batch
-	TaskIDs []int64      `json:"task_ids,omitempty"` // submit_batch
-	Results []wireResult `json:"results,omitempty"`  // finish_batch
-	Stats   *Stats       `json:"stats,omitempty"`
+	Failed  bool
+	Empty   bool
+	Tasks   []wireTask   // pop_batch
+	TaskIDs []int64      // submit_batch
+	Results []wireResult // finish_batch
+	Stats   *Stats
 	// WrongShard marks a redirect: the op was sent to the wrong member of
 	// a shard group and Shard names the owner. The op was NOT applied.
-	WrongShard bool `json:"wrong_shard,omitempty"`
-	Shard      int  `json:"shard,omitempty"`
+	WrongShard bool
+	Shard      int
 	// wal_fetch: the next shipping cursor, the shipped framed records,
 	// and whether Data is a bootstrap snapshot instead. Seg 0 in a
 	// wal_fetch response means the requested cursor was compacted away
 	// and the follower must re-bootstrap.
-	Seg      int    `json:"seg,omitempty"`
-	Off      int64  `json:"off,omitempty"`
-	Snapshot bool   `json:"snapshot,omitempty"`
-	Data     []byte `json:"data,omitempty"`
+	Seg      int
+	Off      int64
+	Snapshot bool
+	Data     []byte
 }
 
 // connClaims tracks task attempts popped on one connection and not yet
-// resolved (taskID -> attempt epoch). The binary handler dispatches
-// requests concurrently, so access is locked.
+// resolved (taskID -> attempt epoch). A connection's requests dispatch
+// concurrently, so access is locked.
 type connClaims struct {
 	mu sync.Mutex
 	m  map[int64]int64
@@ -183,14 +177,6 @@ func (cc *connClaims) drain() map[int64]int64 {
 // ServerOption configures a Server at Serve time.
 type ServerOption func(*Server)
 
-// WithLegacyOnlyFraming makes the server speak only the v1 JSON framing,
-// as a pre-v2 server would: a v2 client's handshake is answered with a
-// JSON error line, driving the client down its fallback path. Useful for
-// cross-version testing.
-func WithLegacyOnlyFraming() ServerOption {
-	return func(s *Server) { s.legacyOnly = true }
-}
-
 // WithShardIdentity declares the server shard index of a count-wide
 // shard group. Keyed submits whose ring owner is another shard, and
 // task-addressed ops whose strided ID belongs to another shard, are
@@ -221,7 +207,6 @@ type Server struct {
 	draining   bool
 	ctx        context.Context
 	cancel     context.CancelFunc
-	legacyOnly bool
 	shardIndex int
 	shardCount int
 	ring       *Ring
@@ -333,7 +318,8 @@ func (s *Server) acceptLoop() {
 	}
 }
 
-// handle sniffs the framing and runs the matching per-connection loop.
+// handle runs one connection: the hello, then the binary loop. A peer
+// whose hello does not match is closed without a reply.
 func (s *Server) handle(conn net.Conn) {
 	claims := newConnClaims()
 	mNetConns.Inc()
@@ -343,37 +329,11 @@ func (s *Server) handle(conn net.Conn) {
 		delete(s.conns, conn)
 		s.mu.Unlock()
 		mNetConns.Dec()
-		// The connection is gone; its worker can no longer resolve its
-		// claims. Fail them so tasks with retry budget are requeued for
-		// other workers. The epoch fence makes this a no-op for any claim
-		// a lease reaper already reclaimed.
-		for id, epoch := range claims.drain() {
-			_, _ = s.db.finish(id, epoch, StatusFailed, "", "connection lost (remote worker gone)")
-			mNetLostClaims.Inc()
-			mNetClaims.Dec()
-		}
+		s.failLostClaims(claims.drain())
 	}()
 	br := bufio.NewReader(conn)
-	if s.legacyOnly {
-		s.handleLegacy(conn, br, claims)
-		return
-	}
-	first, err := br.Peek(1)
-	if err != nil {
-		return
-	}
-	if first[0] == '{' {
-		// v1 JSON client: no hello line, requests start immediately.
-		s.handleLegacy(conn, br, claims)
-		return
-	}
-	line, err := br.ReadString('\n')
-	if err != nil {
-		return
-	}
-	if line != clientHello {
-		enc := json.NewEncoder(conn)
-		_ = enc.Encode(wireResponse{Error: fmt.Sprintf("bad preamble %q", line)})
+	var hello [len(clientHello)]byte
+	if _, err := io.ReadFull(br, hello[:]); err != nil || string(hello[:]) != clientHello {
 		return
 	}
 	if _, err := conn.Write([]byte(serverHelloAck)); err != nil {
@@ -382,40 +342,27 @@ func (s *Server) handle(conn net.Conn) {
 	s.handleBinary(conn, br, claims)
 }
 
-// handleLegacy is the v1 loop: one newline-delimited JSON request at a
-// time, processed synchronously.
-func (s *Server) handleLegacy(conn net.Conn, r *bufio.Reader, claims *connClaims) {
-	enc := json.NewEncoder(conn)
-	for {
-		line, err := r.ReadBytes('\n')
-		if err != nil {
-			return
-		}
-		var req wireRequest
-		if err := json.Unmarshal(line, &req); err != nil {
-			_ = enc.Encode(wireResponse{Error: "bad request: " + err.Error()})
-			continue
-		}
-		mNetRequests.Inc()
-		reqStart := time.Now()
-		if !s.beginDispatch() {
-			return
-		}
-		resp := s.dispatch(s.ctx, req, claims)
-		mNetRequest.ObserveSince(reqStart)
-		err = enc.Encode(resp)
-		s.dispatchWG.Done()
-		if err != nil {
-			return
-		}
+// failLostClaims resolves the claims of a connection that is gone: its
+// worker can no longer resolve them, so they are failed in one commit,
+// which requeues tasks with retry budget left for other workers. The
+// epoch fence makes this a no-op for any claim a lease reaper already
+// reclaimed.
+func (s *Server) failLostClaims(held map[int64]int64) {
+	if len(held) == 0 {
+		return
+	}
+	ops := make([]resolution, 0, len(held))
+	for id, epoch := range held {
+		ops = append(ops, resolution{ID: id, Epoch: epoch, Status: StatusFailed, ErrMsg: "connection lost (remote worker gone)"})
+	}
+	sort.Slice(ops, func(i, j int) bool { return ops[i].ID < ops[j].ID })
+	s.db.finishBatch(ops)
+	for range ops {
+		mNetLostClaims.Inc()
+		mNetClaims.Dec()
 	}
 }
 
-// dispatch executes one request against the DB. It is codec-agnostic:
-// both the JSON loop and the binary handler feed it, so every op
-// (including the batch ops) works over either framing. ctx bounds
-// blocking pops: it is the server context, additionally canceled when the
-// requesting connection dies (binary path).
 // wrongShardTask answers a redirect when a task-addressed op reached a
 // shard that does not own the task's strided ID; nil means the op may
 // proceed (including always on an unsharded server).
@@ -447,9 +394,12 @@ func (s *Server) wrongShardKey(key string) *wireResponse {
 	return nil
 }
 
+// dispatch executes one request against the DB. ctx bounds blocking
+// pops: it is the server context, additionally canceled when the
+// requesting connection dies.
 func (s *Server) dispatch(ctx context.Context, req wireRequest, claims *connClaims) wireResponse {
 	switch req.Op {
-	case "submit":
+	case opcSubmit:
 		if r := s.wrongShardKey(req.Key); r != nil {
 			return *r
 		}
@@ -464,7 +414,7 @@ func (s *Server) dispatch(ctx context.Context, req wireRequest, claims *connClai
 			return wireResponse{Error: err.Error()}
 		}
 		return wireResponse{OK: true, TaskID: f.TaskID}
-	case "submit_batch":
+	case opcSubmitBatch:
 		if r := s.wrongShardKey(req.Key); r != nil {
 			return *r
 		}
@@ -481,7 +431,7 @@ func (s *Server) dispatch(ctx context.Context, req wireRequest, claims *connClai
 			ids[i] = f.TaskID
 		}
 		return wireResponse{OK: true, TaskIDs: ids}
-	case "pop":
+	case opcPop:
 		claim, err := s.popCtx(ctx, req, func(pctx context.Context) (any, error) {
 			return s.db.Pop(pctx, req.Type)
 		})
@@ -491,7 +441,7 @@ func (s *Server) dispatch(ctx context.Context, req wireRequest, claims *connClai
 		c := claim.(*Claim)
 		claims.add(c.Task.ID, c.Task.Epoch)
 		return wireResponse{OK: true, TaskID: c.Task.ID, Epoch: c.Task.Epoch, Payload: c.Task.Payload}
-	case "pop_batch":
+	case opcPopBatch:
 		max := req.Max
 		if max < 1 {
 			max = 1
@@ -509,7 +459,7 @@ func (s *Server) dispatch(ctx context.Context, req wireRequest, claims *connClai
 			tasks[i] = wireTask{ID: c.Task.ID, Epoch: c.Task.Epoch, Payload: c.Task.Payload}
 		}
 		return wireResponse{OK: true, Tasks: tasks}
-	case "complete":
+	case opcComplete:
 		if r := s.wrongShardTask(req.TaskID); r != nil {
 			return *r
 		}
@@ -518,7 +468,7 @@ func (s *Server) dispatch(ctx context.Context, req wireRequest, claims *connClai
 			return wireResponse{Error: err.Error(), Stale: errors.Is(err, ErrStaleClaim)}
 		}
 		return wireResponse{OK: true}
-	case "fail":
+	case opcFail:
 		if r := s.wrongShardTask(req.TaskID); r != nil {
 			return *r
 		}
@@ -527,7 +477,7 @@ func (s *Server) dispatch(ctx context.Context, req wireRequest, claims *connClai
 			return wireResponse{Error: err.Error(), Stale: errors.Is(err, ErrStaleClaim)}
 		}
 		return wireResponse{OK: true}
-	case "finish_batch":
+	case opcFinishBatch:
 		// The accepted resolutions are one commit (see DB.finishBatch).
 		ops := make([]resolution, len(req.Finishes))
 		for i, fin := range req.Finishes {
@@ -553,7 +503,7 @@ func (s *Server) dispatch(ctx context.Context, req wireRequest, claims *connClai
 			}
 		}
 		return wireResponse{OK: true, Results: results}
-	case "result":
+	case opcResult:
 		if r := s.wrongShardTask(req.TaskID); r != nil {
 			return *r
 		}
@@ -571,10 +521,10 @@ func (s *Server) dispatch(ctx context.Context, req wireRequest, claims *connClai
 		default:
 			return wireResponse{OK: true, Done: false}
 		}
-	case "stats":
+	case opcStats:
 		st := s.db.Stats()
 		return wireResponse{OK: true, Stats: &st}
-	case "wal_fetch":
+	case opcWALFetch:
 		if s.replWAL == nil {
 			return wireResponse{Error: "emews: replication not enabled on this server"}
 		}
@@ -596,7 +546,7 @@ func (s *Server) dispatch(ctx context.Context, req wireRequest, claims *connClai
 		}
 		return wireResponse{OK: true, Seg: seg, Off: off, Data: data}
 	default:
-		return wireResponse{Error: fmt.Sprintf("unknown op %q", req.Op)}
+		return wireResponse{Error: "unknown op " + opName(req.Op)}
 	}
 }
 
@@ -696,17 +646,9 @@ func WithBackoff(base, max time.Duration) ClientOption {
 	return func(c *Client) { c.baseBackoff, c.maxBackoff = base, max }
 }
 
-// WithLegacyFraming skips the v2 handshake and speaks the v1 JSON framing
-// unconditionally, behaving exactly like a pre-v2 client. Useful for
-// cross-version testing.
-func WithLegacyFraming() ClientOption {
-	return func(c *Client) { c.forceLegacy = true }
-}
-
 // Client is a TCP client for a remote task DB. Methods are safe for
-// concurrent use. Against a v2 server, concurrent ops are pipelined on
-// one connection (matched by request id); against a legacy server they
-// are serialized.
+// concurrent use: concurrent ops are pipelined on one connection,
+// matched by request id.
 //
 // The client is resilient: when an op fails at the transport level, the
 // connection is dropped and redialed with exponential backoff, and ops
@@ -724,7 +666,6 @@ type Client struct {
 	baseBackoff time.Duration
 	maxBackoff  time.Duration
 	maxRetries  int
-	forceLegacy bool
 
 	closeCh chan struct{} // closed by Close; interrupts backoff waits and pending ops
 
@@ -733,25 +674,10 @@ type Client struct {
 	// ops never wait behind a redial in progress.
 	dialMu sync.Mutex
 
-	// legacyMu serializes request/response exchanges on a legacy (JSON)
-	// connection, which supports only one op in flight.
-	legacyMu sync.Mutex
-
 	mu      sync.Mutex
 	closed  bool
-	conn    net.Conn
-	r       *bufio.Reader  // legacy framing only
-	enc     *json.Encoder  // legacy framing only
-	sess    *clientSession // binary framing only (nil on a legacy conn)
+	sess    *clientSession // the live connection; nil when disconnected
 	backoff time.Duration  // next redial delay; 0 after a healthy connect
-}
-
-// connHandle is a stable snapshot of the live connection for one exchange.
-type connHandle struct {
-	conn net.Conn
-	sess *clientSession
-	r    *bufio.Reader
-	enc  *json.Encoder
 }
 
 // Dial connects to a Server.
@@ -783,15 +709,11 @@ func (c *Client) Close() error {
 	}
 	c.closed = true
 	close(c.closeCh)
-	conn, sess := c.conn, c.sess
-	c.conn, c.r, c.enc, c.sess = nil, nil, nil, nil
+	sess := c.sess
+	c.sess = nil
 	c.mu.Unlock()
 	if sess != nil {
 		sess.shutdown()
-		return nil
-	}
-	if conn != nil {
-		return conn.Close()
 	}
 	return nil
 }
@@ -807,20 +729,20 @@ func (c *Client) bumpBackoffLocked() {
 	}
 }
 
-// ensureConn returns the live connection, dialing (with handshake and
+// ensureConn returns the live session, dialing (with handshake and
 // interruptible backoff) if there is none. The backoff sleep happens
 // under dialMu only, so Close and ops on an established connection are
 // never blocked behind it.
-func (c *Client) ensureConn() (connHandle, error) {
+func (c *Client) ensureConn() (*clientSession, error) {
 	c.mu.Lock()
 	if c.closed {
 		c.mu.Unlock()
-		return connHandle{}, closedClientErr()
+		return nil, closedClientErr()
 	}
-	if c.conn != nil {
-		h := connHandle{conn: c.conn, sess: c.sess, r: c.r, enc: c.enc}
+	if c.sess != nil {
+		sess := c.sess
 		c.mu.Unlock()
-		return h, nil
+		return sess, nil
 	}
 	c.mu.Unlock()
 
@@ -830,12 +752,12 @@ func (c *Client) ensureConn() (connHandle, error) {
 	c.mu.Lock()
 	if c.closed {
 		c.mu.Unlock()
-		return connHandle{}, closedClientErr()
+		return nil, closedClientErr()
 	}
-	if c.conn != nil {
-		h := connHandle{conn: c.conn, sess: c.sess, r: c.r, enc: c.enc}
+	if c.sess != nil {
+		sess := c.sess
 		c.mu.Unlock()
-		return h, nil
+		return sess, nil
 	}
 	backoff := c.backoff
 	c.mu.Unlock()
@@ -845,7 +767,7 @@ func (c *Client) ensureConn() (connHandle, error) {
 		select {
 		case <-c.closeCh:
 			t.Stop()
-			return connHandle{}, closedClientErr()
+			return nil, closedClientErr()
 		case <-t.C:
 		}
 	}
@@ -858,96 +780,61 @@ func (c *Client) ensureConn() (connHandle, error) {
 		c.mu.Lock()
 		c.bumpBackoffLocked()
 		c.mu.Unlock()
-		return connHandle{}, fmt.Errorf("%w: dial %s: %v", ErrTransport, c.addr, err)
+		return nil, fmt.Errorf("%w: dial %s: %v", ErrTransport, c.addr, err)
 	}
 	r := bufio.NewReader(conn)
-	binaryOK, err := c.handshake(conn, r, dialTimeout)
-	if err != nil {
+	if err := handshake(conn, r, dialTimeout); err != nil {
 		conn.Close()
 		c.mu.Lock()
 		c.bumpBackoffLocked()
 		c.mu.Unlock()
-		return connHandle{}, fmt.Errorf("%w: handshake %s: %v", ErrTransport, c.addr, err)
+		return nil, fmt.Errorf("%w: handshake %s: %v", ErrTransport, c.addr, err)
 	}
-	var sess *clientSession
-	var enc *json.Encoder
-	if binaryOK {
-		sess = newClientSession(conn, r)
-	} else {
-		enc = json.NewEncoder(conn)
-	}
+	sess := newClientSession(conn, r)
 	c.mu.Lock()
 	if c.closed {
 		c.mu.Unlock()
-		if sess != nil {
-			sess.shutdown()
-		} else {
-			conn.Close()
-		}
-		return connHandle{}, closedClientErr()
+		sess.shutdown()
+		return nil, closedClientErr()
 	}
 	c.backoff = 0
-	c.conn, c.r, c.enc, c.sess = conn, r, enc, sess
-	h := connHandle{conn: conn, sess: sess, r: r, enc: enc}
+	c.sess = sess
 	c.mu.Unlock()
-	return h, nil
+	return sess, nil
 }
 
-// handshake negotiates the framing on a fresh connection. It returns
-// binaryOK=false when the server only speaks the v1 JSON framing (its
-// reply to the hello starts with '{').
-func (c *Client) handshake(conn net.Conn, r *bufio.Reader, timeout time.Duration) (binaryOK bool, err error) {
-	if c.forceLegacy {
-		return false, nil
-	}
+// handshake sends the hello on a fresh connection and reads the ack. It
+// proves the peer live before any op is written, so a connection that is
+// accepted and then dropped fails here, where a retry is always safe.
+func handshake(conn net.Conn, r io.Reader, timeout time.Duration) error {
 	_ = conn.SetDeadline(time.Now().Add(timeout))
 	defer func() { _ = conn.SetDeadline(time.Time{}) }()
 	if _, err := conn.Write([]byte(clientHello)); err != nil {
-		return false, err
+		return err
 	}
-	first, err := r.Peek(1)
-	if err != nil {
-		return false, err
+	var ack [len(serverHelloAck)]byte
+	if _, err := io.ReadFull(r, ack[:]); err != nil {
+		return err
 	}
-	if first[0] == '{' {
-		// Legacy server: it read the hello as one bad JSON request and
-		// answered an error line. Consume it and fall back to v1 framing.
-		if _, err := r.ReadBytes('\n'); err != nil {
-			return false, err
-		}
-		return false, nil
+	if string(ack[:]) != serverHelloAck {
+		return fmt.Errorf("unexpected handshake reply %q", ack[:])
 	}
-	line, err := r.ReadString('\n')
-	if err != nil {
-		return false, err
-	}
-	if line != serverHelloAck {
-		return false, fmt.Errorf("unexpected handshake reply %q", line)
-	}
-	return true, nil
+	return nil
 }
 
-// drop discards conn if it is still the client's current connection and
+// drop discards sess if it is still the client's current session and
 // arms the reconnect backoff. Safe to call from several ops that failed
-// on the same connection.
-func (c *Client) drop(conn net.Conn) {
+// on the same session.
+func (c *Client) drop(sess *clientSession) {
 	c.mu.Lock()
-	if c.conn != conn {
-		c.mu.Unlock()
-		conn.Close()
-		return
-	}
-	sess := c.sess
-	c.conn, c.r, c.enc, c.sess = nil, nil, nil, nil
-	if c.backoff == 0 {
-		c.backoff = c.baseBackoff
+	if c.sess == sess {
+		c.sess = nil
+		if c.backoff == 0 {
+			c.backoff = c.baseBackoff
+		}
 	}
 	c.mu.Unlock()
-	if sess != nil {
-		sess.shutdown()
-	} else {
-		conn.Close()
-	}
+	sess.shutdown()
 }
 
 // retrySafe reports whether req may be re-sent even though the previous
@@ -957,11 +844,11 @@ func (c *Client) drop(conn net.Conn) {
 // different attempt than the one the caller observed.
 func retrySafe(req *wireRequest) bool {
 	switch req.Op {
-	case "pop", "pop_batch", "result", "stats", "wal_fetch":
+	case opcPop, opcPopBatch, opcResult, opcStats, opcWALFetch:
 		return true
-	case "complete", "fail":
+	case opcComplete, opcFail:
 		return req.Epoch > 0
-	case "finish_batch":
+	case opcFinishBatch:
 		for _, f := range req.Finishes {
 			if f.Epoch <= 0 {
 				return false
@@ -980,48 +867,13 @@ func (c *Client) exchangeTimeout(req *wireRequest) time.Duration {
 		return 0
 	}
 	d := c.opTimeout
-	if req.Op == "pop" || req.Op == "pop_batch" {
+	if req.Op == opcPop || req.Op == opcPopBatch {
 		if req.TimeoutMS == 0 {
 			return 0
 		}
 		d += time.Duration(req.TimeoutMS) * time.Millisecond
 	}
 	return d
-}
-
-// exchange performs one request/response on the given connection.
-func (c *Client) exchange(h connHandle, req *wireRequest) (wireResponse, error) {
-	if h.sess != nil {
-		return h.sess.do(req, c.exchangeTimeout(req), c.closeCh)
-	}
-	return c.legacyExchange(h, req)
-}
-
-// legacyExchange is the v1 path: one JSON line out, one JSON line back,
-// serialized with other ops on this client.
-func (c *Client) legacyExchange(h connHandle, req *wireRequest) (wireResponse, error) {
-	c.legacyMu.Lock()
-	defer c.legacyMu.Unlock()
-	var deadline time.Time
-	if d := c.exchangeTimeout(req); d > 0 {
-		deadline = time.Now().Add(d)
-	}
-	_ = h.conn.SetDeadline(deadline)
-	if err := h.enc.Encode(req); err != nil {
-		return wireResponse{}, fmt.Errorf("%w: write: %v", ErrTransport, err)
-	}
-	line, err := h.r.ReadBytes('\n')
-	if err != nil {
-		return wireResponse{}, fmt.Errorf("%w: read: %v", ErrTransport, err)
-	}
-	var resp wireResponse
-	if err := json.Unmarshal(line, &resp); err != nil {
-		return wireResponse{}, fmt.Errorf("%w: decode: %v", ErrTransport, err)
-	}
-	if err := respError(&resp); err != nil {
-		return resp, err
-	}
-	return resp, nil
 }
 
 // WrongShardError is a redirect from a shard-group member: the op was
@@ -1062,7 +914,7 @@ func (e *staleRemoteError) Is(target error) bool { return target == ErrStaleClai
 func (c *Client) roundTrip(req wireRequest) (wireResponse, error) {
 	var lastErr error
 	for attempt := 0; ; attempt++ {
-		h, err := c.ensureConn()
+		sess, err := c.ensureConn()
 		if err != nil {
 			if errors.Is(err, errClientClosed) {
 				return wireResponse{}, err
@@ -1073,7 +925,7 @@ func (c *Client) roundTrip(req wireRequest) (wireResponse, error) {
 			}
 			continue
 		}
-		resp, err := c.exchange(h, &req)
+		resp, err := sess.do(&req, c.exchangeTimeout(&req), c.closeCh)
 		if err == nil {
 			return resp, nil
 		}
@@ -1082,7 +934,7 @@ func (c *Client) roundTrip(req wireRequest) (wireResponse, error) {
 			// the connection is fine, the request was refused.
 			return resp, err
 		}
-		c.drop(h.conn)
+		c.drop(sess)
 		if errors.Is(err, errClientClosed) {
 			return wireResponse{}, err
 		}
@@ -1098,7 +950,7 @@ func (c *Client) roundTrip(req wireRequest) (wireResponse, error) {
 
 // Submit inserts a task remotely and returns its ID.
 func (c *Client) Submit(taskType string, priority int, payload string) (int64, error) {
-	resp, err := c.roundTrip(wireRequest{Op: "submit", Type: taskType, Priority: priority, Payload: payload})
+	resp, err := c.roundTrip(wireRequest{Op: opcSubmit, Type: taskType, Priority: priority, Payload: payload})
 	if err != nil {
 		return 0, err
 	}
@@ -1109,7 +961,7 @@ func (c *Client) Submit(taskType string, priority int, payload string) (int64, e
 // attempt requeues the task until maxAttempts is exhausted. Like Submit,
 // it is not transport-retried once the request may have been applied.
 func (c *Client) SubmitRetry(taskType string, priority int, payload string, maxAttempts int) (int64, error) {
-	resp, err := c.roundTrip(wireRequest{Op: "submit", Type: taskType, Priority: priority, Payload: payload, MaxAttempts: maxAttempts})
+	resp, err := c.roundTrip(wireRequest{Op: opcSubmit, Type: taskType, Priority: priority, Payload: payload, MaxAttempts: maxAttempts})
 	if err != nil {
 		return 0, err
 	}
@@ -1121,7 +973,7 @@ func (c *Client) SubmitRetry(taskType string, priority int, payload string, maxA
 // ring and answers *WrongShardError when it routes elsewhere (the op is
 // not applied). Unsharded servers ignore the key.
 func (c *Client) SubmitKeyedRetry(taskType string, priority int, payload, key string, maxAttempts int) (int64, error) {
-	resp, err := c.roundTrip(wireRequest{Op: "submit", Type: taskType, Priority: priority, Payload: payload, Key: key, MaxAttempts: maxAttempts})
+	resp, err := c.roundTrip(wireRequest{Op: opcSubmit, Type: taskType, Priority: priority, Payload: payload, Key: key, MaxAttempts: maxAttempts})
 	if err != nil {
 		return 0, err
 	}
@@ -1141,7 +993,7 @@ func (c *Client) submitBatchKeyed(taskType string, priority int, payloads []stri
 	if len(payloads) == 0 {
 		return nil, nil
 	}
-	resp, err := c.roundTrip(wireRequest{Op: "submit_batch", Type: taskType, Priority: priority, Payloads: payloads, Key: key, MaxAttempts: maxAttempts})
+	resp, err := c.roundTrip(wireRequest{Op: opcSubmitBatch, Type: taskType, Priority: priority, Payloads: payloads, Key: key, MaxAttempts: maxAttempts})
 	if err != nil {
 		return nil, err
 	}
@@ -1169,7 +1021,7 @@ func popTimeoutMS(timeout time.Duration) int {
 // server side). It returns ok=false if the wait timed out. The returned
 // claim carries the attempt epoch to pass to Complete/Fail.
 func (c *Client) Pop(taskType string, timeout time.Duration) (task RemoteTask, ok bool, err error) {
-	resp, err := c.roundTrip(wireRequest{Op: "pop", Type: taskType, TimeoutMS: popTimeoutMS(timeout)})
+	resp, err := c.roundTrip(wireRequest{Op: opcPop, Type: taskType, TimeoutMS: popTimeoutMS(timeout)})
 	if err != nil {
 		return RemoteTask{}, false, err
 	}
@@ -1184,7 +1036,7 @@ func (c *Client) Pop(taskType string, timeout time.Duration) (task RemoteTask, o
 // available the server returns immediately with whatever else is queued,
 // up to max. An empty (timed-out) wait returns a nil slice and no error.
 func (c *Client) PopBatch(taskType string, max int, timeout time.Duration) ([]RemoteTask, error) {
-	resp, err := c.roundTrip(wireRequest{Op: "pop_batch", Type: taskType, Max: max, TimeoutMS: popTimeoutMS(timeout)})
+	resp, err := c.roundTrip(wireRequest{Op: opcPopBatch, Type: taskType, Max: max, TimeoutMS: popTimeoutMS(timeout)})
 	if err != nil {
 		return nil, err
 	}
@@ -1201,13 +1053,13 @@ func (c *Client) PopBatch(taskType string, max int, timeout time.Duration) ([]Re
 // Complete reports a successful evaluation of the claimed attempt. A
 // stale claim (epoch superseded) is rejected with ErrStaleClaim.
 func (c *Client) Complete(taskID, epoch int64, result string) error {
-	_, err := c.roundTrip(wireRequest{Op: "complete", TaskID: taskID, Epoch: epoch, Result: result})
+	_, err := c.roundTrip(wireRequest{Op: opcComplete, TaskID: taskID, Epoch: epoch, Result: result})
 	return err
 }
 
 // Fail reports a failed evaluation of the claimed attempt.
 func (c *Client) Fail(taskID, epoch int64, errMsg string) error {
-	_, err := c.roundTrip(wireRequest{Op: "fail", TaskID: taskID, Epoch: epoch, ErrMsg: errMsg})
+	_, err := c.roundTrip(wireRequest{Op: opcFail, TaskID: taskID, Epoch: epoch, ErrMsg: errMsg})
 	return err
 }
 
@@ -1225,7 +1077,7 @@ func (c *Client) FinishBatch(ops []FinishOp) ([]error, error) {
 	for i, op := range ops {
 		fins[i] = wireFinish{TaskID: op.TaskID, Epoch: op.Epoch, Failed: op.Failed, Result: op.Result, ErrMsg: op.ErrMsg}
 	}
-	resp, err := c.roundTrip(wireRequest{Op: "finish_batch", Finishes: fins})
+	resp, err := c.roundTrip(wireRequest{Op: opcFinishBatch, Finishes: fins})
 	if err != nil {
 		return nil, err
 	}
@@ -1249,17 +1101,15 @@ func (c *Client) FinishBatch(ops []FinishOp) ([]error, error) {
 // A failed or canceled task is reported as (*TaskError, done=true);
 // transport problems are reported wrapped in ErrTransport.
 func (c *Client) Result(taskID int64) (result string, done bool, err error) {
-	resp, err := c.roundTrip(wireRequest{Op: "result", TaskID: taskID})
+	resp, err := c.roundTrip(wireRequest{Op: opcResult, TaskID: taskID})
 	if err != nil {
 		return "", false, err
 	}
 	if !resp.Done {
 		return "", false, nil
 	}
-	// Failed is authoritative (a task can fail with an empty message);
-	// the Error check keeps compatibility with pre-v2 servers that only
-	// signal failure through a non-empty message.
-	if resp.Failed || resp.Error != "" {
+	// Failed is authoritative: a task can fail with an empty message.
+	if resp.Failed {
 		return "", true, &TaskError{TaskID: taskID, Msg: resp.Error}
 	}
 	return resp.Result, true, nil
@@ -1297,7 +1147,7 @@ func (c *Client) WaitResult(ctx context.Context, taskID int64, pollEvery time.Du
 
 // RemoteStats fetches DB occupancy counters.
 func (c *Client) RemoteStats() (Stats, error) {
-	resp, err := c.roundTrip(wireRequest{Op: "stats"})
+	resp, err := c.roundTrip(wireRequest{Op: opcStats})
 	if err != nil {
 		return Stats{}, err
 	}
@@ -1323,7 +1173,7 @@ type WALChunk struct {
 // records after it (empty Data with Seg != 0 = caught up with the tail).
 // Read-only and idempotent, so it is transport-retried like pops.
 func (c *Client) WALFetch(seg int, off int64) (WALChunk, error) {
-	resp, err := c.roundTrip(wireRequest{Op: "wal_fetch", Seg: seg, Off: off})
+	resp, err := c.roundTrip(wireRequest{Op: opcWALFetch, Seg: seg, Off: off})
 	if err != nil {
 		return WALChunk{}, err
 	}

@@ -239,7 +239,7 @@ func (s *clientSession) do(req *wireRequest, timeout time.Duration, closeCh <-ch
 		// desynchronize nothing, but the op's fate is unknown): kill the
 		// session and let roundTrip's retry policy decide.
 		s.forget(id)
-		err := fmt.Errorf("%w: op %q timed out after %v", ErrTransport, req.Op, timeout)
+		err := fmt.Errorf("%w: op %s timed out after %v", ErrTransport, opName(req.Op), timeout)
 		s.fail(err)
 		return wireResponse{}, err
 	case <-closeCh:

@@ -2,10 +2,11 @@ package emews
 
 import (
 	"bufio"
+	"bytes"
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net"
 	"strconv"
 	"strings"
@@ -15,134 +16,109 @@ import (
 	"time"
 )
 
-// framingModes are the protocol cross-version matrix: both peers v2
-// (binary), a pre-v2 JSON client against a v2 server, and a v2 client
-// against a JSON-only server (handshake fallback path).
-var framingModes = []struct {
-	name       string
-	serverOpts []ServerOption
-	clientOpts []ClientOption
-	wantBinary bool
-}{
-	{name: "binary", wantBinary: true},
-	{name: "legacy-client", clientOpts: []ClientOption{WithLegacyFraming()}},
-	{name: "legacy-server", serverOpts: []ServerOption{WithLegacyOnlyFraming()}},
-}
+// Every op, including the batch ops, round-trips over the wire. The
+// matrix has one row: binary v2 is the only framing.
+func TestProtocolCrossVersionMatrix(t *testing.T) { t.Run("binary", testProtocolOps) }
 
-func (c *Client) usingBinary() bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.sess != nil
-}
-
-// Every op — including the batch ops — must behave identically across the
-// version matrix, and each mode must negotiate the framing it claims to.
-func TestProtocolCrossVersionMatrix(t *testing.T) {
-	for _, mode := range framingModes {
-		t.Run(mode.name, func(t *testing.T) {
-			db := NewDB()
-			defer db.Close()
-			srv, err := Serve(db, "127.0.0.1:0", mode.serverOpts...)
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer srv.Close()
-			c, err := Dial(srv.Addr(), mode.clientOpts...)
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer c.Close()
-			if got := c.usingBinary(); got != mode.wantBinary {
-				t.Fatalf("negotiated binary=%v, want %v", got, mode.wantBinary)
-			}
-
-			// Single-op lifecycle.
-			id, err := c.Submit("m", 0, "one")
-			if err != nil {
-				t.Fatal(err)
-			}
-			task, ok, err := c.Pop("m", time.Second)
-			if err != nil || !ok || task.ID != id || task.Epoch != 1 {
-				t.Fatalf("pop = %+v ok=%v err=%v", task, ok, err)
-			}
-			if err := c.Complete(task.ID, task.Epoch, "done"); err != nil {
-				t.Fatal(err)
-			}
-			res, done, err := c.Result(id)
-			if err != nil || !done || res != "done" {
-				t.Fatalf("result = %q done=%v err=%v", res, done, err)
-			}
-
-			// Batched lifecycle: submit N in one exchange, lease them in one
-			// exchange, resolve them (mixed outcomes) in one exchange.
-			payloads := []string{"p0", "p1", "p2", "p3", "p4"}
-			ids, err := c.SubmitBatch("b", 0, payloads, 1)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if len(ids) != len(payloads) {
-				t.Fatalf("SubmitBatch returned %d ids", len(ids))
-			}
-			tasks, err := c.PopBatch("b", len(payloads), time.Second)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if len(tasks) != len(payloads) {
-				t.Fatalf("PopBatch leased %d/%d queued tasks", len(tasks), len(payloads))
-			}
-			fins := make([]FinishOp, len(tasks))
-			for i, task := range tasks {
-				if task.Epoch != 1 {
-					t.Fatalf("task %d epoch = %d", task.ID, task.Epoch)
-				}
-				if i%2 == 0 {
-					fins[i] = FinishOp{TaskID: task.ID, Epoch: task.Epoch, Result: "ok:" + task.Payload}
-				} else {
-					fins[i] = FinishOp{TaskID: task.ID, Epoch: task.Epoch, Failed: true, ErrMsg: "injected"}
-				}
-			}
-			errs, err := c.FinishBatch(fins)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for i, e := range errs {
-				if e != nil {
-					t.Fatalf("finish %d rejected: %v", i, e)
-				}
-			}
-			for i, task := range tasks {
-				snap, err := db.Get(task.ID)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if i%2 == 0 && (snap.Status != StatusComplete || snap.Result != "ok:"+task.Payload) {
-					t.Fatalf("task %d = %v %q", task.ID, snap.Status, snap.Result)
-				}
-				if i%2 == 1 && snap.Status != StatusFailed {
-					t.Fatalf("task %d = %v, want failed", task.ID, snap.Status)
-				}
-			}
-
-			// A stale fenced resolution inside a batch is rejected per-op
-			// without failing the batch.
-			errs, err = c.FinishBatch([]FinishOp{{TaskID: tasks[0].ID, Epoch: tasks[0].Epoch, Failed: true, ErrMsg: "late"}})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !errors.Is(errs[0], ErrStaleClaim) {
-				t.Fatalf("late conflicting finish = %v, want ErrStaleClaim", errs[0])
-			}
-
-			// An empty poll must come back clean in every mode.
-			if tasks, err := c.PopBatch("empty-type", 4, 10*time.Millisecond); err != nil || len(tasks) != 0 {
-				t.Fatalf("empty PopBatch = %v, %v", tasks, err)
-			}
-			if _, err := c.RemoteStats(); err != nil {
-				t.Fatal(err)
-			}
-			statsBalanced(t, db)
-		})
+func testProtocolOps(t *testing.T) {
+	db := NewDB()
+	defer db.Close()
+	srv, err := Serve(db, "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
 	}
+	defer srv.Close()
+	c, err := Dial(srv.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+
+	// Single-op lifecycle.
+	id, err := c.Submit("m", 0, "one")
+	if err != nil {
+		t.Fatal(err)
+	}
+	task, ok, err := c.Pop("m", time.Second)
+	if err != nil || !ok || task.ID != id || task.Epoch != 1 {
+		t.Fatalf("pop = %+v ok=%v err=%v", task, ok, err)
+	}
+	if err := c.Complete(task.ID, task.Epoch, "done"); err != nil {
+		t.Fatal(err)
+	}
+	res, done, err := c.Result(id)
+	if err != nil || !done || res != "done" {
+		t.Fatalf("result = %q done=%v err=%v", res, done, err)
+	}
+
+	// Batched lifecycle: submit N in one exchange, lease them in one
+	// exchange, resolve them (mixed outcomes) in one exchange.
+	payloads := []string{"p0", "p1", "p2", "p3", "p4"}
+	ids, err := c.SubmitBatch("b", 0, payloads, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(ids) != len(payloads) {
+		t.Fatalf("SubmitBatch returned %d ids", len(ids))
+	}
+	tasks, err := c.PopBatch("b", len(payloads), time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(tasks) != len(payloads) {
+		t.Fatalf("PopBatch leased %d/%d queued tasks", len(tasks), len(payloads))
+	}
+	fins := make([]FinishOp, len(tasks))
+	for i, task := range tasks {
+		if task.Epoch != 1 {
+			t.Fatalf("task %d epoch = %d", task.ID, task.Epoch)
+		}
+		if i%2 == 0 {
+			fins[i] = FinishOp{TaskID: task.ID, Epoch: task.Epoch, Result: "ok:" + task.Payload}
+		} else {
+			fins[i] = FinishOp{TaskID: task.ID, Epoch: task.Epoch, Failed: true, ErrMsg: "injected"}
+		}
+	}
+	errs, err := c.FinishBatch(fins)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, e := range errs {
+		if e != nil {
+			t.Fatalf("finish %d rejected: %v", i, e)
+		}
+	}
+	for i, task := range tasks {
+		snap, err := db.Get(task.ID)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if i%2 == 0 && (snap.Status != StatusComplete || snap.Result != "ok:"+task.Payload) {
+			t.Fatalf("task %d = %v %q", task.ID, snap.Status, snap.Result)
+		}
+		if i%2 == 1 && snap.Status != StatusFailed {
+			t.Fatalf("task %d = %v, want failed", task.ID, snap.Status)
+		}
+	}
+
+	// A stale fenced resolution inside a batch is rejected per-op
+	// without failing the batch.
+	errs, err = c.FinishBatch([]FinishOp{{TaskID: tasks[0].ID, Epoch: tasks[0].Epoch, Failed: true, ErrMsg: "late"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !errors.Is(errs[0], ErrStaleClaim) {
+		t.Fatalf("late conflicting finish = %v, want ErrStaleClaim", errs[0])
+	}
+
+	// An empty poll must come back clean.
+	if tasks, err := c.PopBatch("empty-type", 4, 10*time.Millisecond); err != nil || len(tasks) != 0 {
+		t.Fatalf("empty PopBatch = %v, %v", tasks, err)
+	}
+	if _, err := c.RemoteStats(); err != nil {
+		t.Fatal(err)
+	}
+	statsBalanced(t, db)
 }
 
 // Pipelining: many goroutines sharing ONE v2 client must make progress
@@ -160,9 +136,6 @@ func TestBinaryClientPipelinesConcurrentOps(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	if !c.usingBinary() {
-		t.Fatal("expected binary framing")
-	}
 
 	const workers = 8
 	const perWorker = 25
@@ -220,40 +193,40 @@ func TestBinaryClientPipelinesConcurrentOps(t *testing.T) {
 // reported as a failure by Result, not as a success with an empty result.
 // Pre-v2 the client keyed failure on Error != "".
 func TestResultReportsEmptyMessageFailure(t *testing.T) {
-	for _, mode := range framingModes {
-		t.Run(mode.name, func(t *testing.T) {
-			db := NewDB()
-			defer db.Close()
-			srv, err := Serve(db, "127.0.0.1:0", mode.serverOpts...)
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer srv.Close()
-			c, err := Dial(srv.Addr(), mode.clientOpts...)
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer c.Close()
+	t.Run("binary", testResultReportsEmptyMessageFailure)
+}
 
-			if _, err := c.Submit("m", 0, "x"); err != nil {
-				t.Fatal(err)
-			}
-			task, ok, err := c.Pop("m", time.Second)
-			if err != nil || !ok {
-				t.Fatalf("pop = %v ok=%v", err, ok)
-			}
-			if err := c.Fail(task.ID, task.Epoch, ""); err != nil {
-				t.Fatal(err)
-			}
-			res, done, err := c.Result(task.ID)
-			if !done {
-				t.Fatal("failed task reported as still pending")
-			}
-			var te *TaskError
-			if !errors.As(err, &te) {
-				t.Fatalf("empty-message failure reported as success (res=%q err=%v), want *TaskError", res, err)
-			}
-		})
+func testResultReportsEmptyMessageFailure(t *testing.T) {
+	db := NewDB()
+	defer db.Close()
+	srv, err := Serve(db, "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	c, err := Dial(srv.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+
+	if _, err := c.Submit("m", 0, "x"); err != nil {
+		t.Fatal(err)
+	}
+	task, ok, err := c.Pop("m", time.Second)
+	if err != nil || !ok {
+		t.Fatalf("pop = %v ok=%v", err, ok)
+	}
+	if err := c.Fail(task.ID, task.Epoch, ""); err != nil {
+		t.Fatal(err)
+	}
+	res, done, err := c.Result(task.ID)
+	if !done {
+		t.Fatal("failed task reported as still pending")
+	}
+	var te *TaskError
+	if !errors.As(err, &te) {
+		t.Fatalf("empty-message failure reported as success (res=%q err=%v), want *TaskError", res, err)
 	}
 }
 
@@ -341,9 +314,8 @@ func TestCloseInterruptsReconnectBackoff(t *testing.T) {
 	}
 }
 
-// swallowServer is a fake legacy server that answers the v2 handshake
-// with a JSON error line (as a real pre-v2 server would), then swallows
-// the next request — counting it — and drops the connection without
+// swallowServer is a fake server that acks the hello, then swallows the
+// next request frame — counting it — and drops the connection without
 // replying, forcing a mid-op transport error with the op's fate unknown.
 func swallowServer(t *testing.T, count *int64) (addr string, stop func()) {
 	t.Helper()
@@ -365,22 +337,18 @@ func swallowServer(t *testing.T, count *int64) (addr string, stop func()) {
 				defer wg.Done()
 				defer conn.Close()
 				r := bufio.NewReader(conn)
-				for {
-					line, err := r.ReadString('\n')
-					if err != nil {
-						return
-					}
-					if line == clientHello {
-						fmt.Fprint(conn, "{\"error\":\"bad request: unknown preamble\"}\n")
-						continue
-					}
-					var req wireRequest
-					if json.Unmarshal([]byte(line), &req) != nil {
-						return
-					}
-					atomic.AddInt64(count, 1)
-					return // swallow: no response, connection dropped
+				hello := make([]byte, len(clientHello))
+				if _, err := io.ReadFull(r, hello); err != nil || string(hello) != clientHello {
+					return
 				}
+				if _, err := conn.Write([]byte(serverHelloAck)); err != nil {
+					return
+				}
+				if _, _, payload, err := readFrame(r); err == nil {
+					putWireBuf(payload)
+					atomic.AddInt64(count, 1)
+				}
+				// swallow: no response, connection dropped
 			}(conn)
 		}
 	}()
@@ -427,40 +395,40 @@ func TestUnfencedResolutionNotRetriedOverTransport(t *testing.T) {
 // shutdown must get a clean empty poll, not a "context canceled" error —
 // the close becomes visible as a transport condition on its next op.
 func TestServerCloseYieldsCleanEmptyPop(t *testing.T) {
-	for _, mode := range framingModes {
-		t.Run(mode.name, func(t *testing.T) {
-			db := NewDB()
-			defer db.Close()
-			srv, err := Serve(db, "127.0.0.1:0", mode.serverOpts...)
-			if err != nil {
-				t.Fatal(err)
-			}
-			c, err := Dial(srv.Addr(), append([]ClientOption{WithRetries(0)}, mode.clientOpts...)...)
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer c.Close()
+	t.Run("binary", testServerCloseYieldsCleanEmptyPop)
+}
 
-			type popOut struct {
-				ok  bool
-				err error
-			}
-			done := make(chan popOut, 1)
-			go func() {
-				_, ok, err := c.Pop("m", 0) // unbounded wait
-				done <- popOut{ok, err}
-			}()
-			time.Sleep(100 * time.Millisecond)
-			srv.Close()
-			select {
-			case out := <-done:
-				if out.err != nil || out.ok {
-					t.Fatalf("pop during server shutdown = ok=%v err=%v, want clean empty", out.ok, out.err)
-				}
-			case <-time.After(3 * time.Second):
-				t.Fatal("blocking pop did not return on server close")
-			}
-		})
+func testServerCloseYieldsCleanEmptyPop(t *testing.T) {
+	db := NewDB()
+	defer db.Close()
+	srv, err := Serve(db, "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := Dial(srv.Addr(), WithRetries(0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+
+	type popOut struct {
+		ok  bool
+		err error
+	}
+	done := make(chan popOut, 1)
+	go func() {
+		_, ok, err := c.Pop("m", 0) // unbounded wait
+		done <- popOut{ok, err}
+	}()
+	time.Sleep(100 * time.Millisecond)
+	srv.Close()
+	select {
+	case out := <-done:
+		if out.err != nil || out.ok {
+			t.Fatalf("pop during server shutdown = ok=%v err=%v, want clean empty", out.ok, out.err)
+		}
+	case <-time.After(3 * time.Second):
+		t.Fatal("blocking pop did not return on server close")
 	}
 }
 
@@ -469,44 +437,42 @@ func TestServerCloseYieldsCleanEmptyPop(t *testing.T) {
 // Wait through zero is WaitGroup misuse the race detector flags. The
 // drain barrier (beginDispatch) must make the storm below clean under
 // -race: requests arriving mid-Close are refused, not registered.
-func TestCloseDuringRequestStorm(t *testing.T) {
-	for _, mode := range framingModes {
-		t.Run(mode.name, func(t *testing.T) {
-			db := NewDB()
-			defer db.Close()
-			srv, err := Serve(db, "127.0.0.1:0", mode.serverOpts...)
-			if err != nil {
-				t.Fatal(err)
-			}
-			var wg sync.WaitGroup
-			stop := make(chan struct{})
-			for i := 0; i < 4; i++ {
-				wg.Add(1)
-				go func() {
-					defer wg.Done()
-					c, err := Dial(srv.Addr(), append([]ClientOption{WithRetries(0)}, mode.clientOpts...)...)
-					if err != nil {
-						return
-					}
-					defer c.Close()
-					for {
-						select {
-						case <-stop:
-							return
-						default:
-						}
-						// Errors are expected once Close lands; the
-						// point is that the server side stays race-free.
-						_, _ = c.Submit("m", 1, "p")
-					}
-				}()
-			}
-			time.Sleep(50 * time.Millisecond)
-			srv.Close()
-			close(stop)
-			wg.Wait()
-		})
+func TestCloseDuringRequestStorm(t *testing.T) { t.Run("binary", testCloseDuringRequestStorm) }
+
+func testCloseDuringRequestStorm(t *testing.T) {
+	db := NewDB()
+	defer db.Close()
+	srv, err := Serve(db, "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
 	}
+	var wg sync.WaitGroup
+	stop := make(chan struct{})
+	for i := 0; i < 4; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			c, err := Dial(srv.Addr(), WithRetries(0))
+			if err != nil {
+				return
+			}
+			defer c.Close()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				// Errors are expected once Close lands; the
+				// point is that the server side stays race-free.
+				_, _ = c.Submit("m", 1, "p")
+			}
+		}()
+	}
+	time.Sleep(50 * time.Millisecond)
+	srv.Close()
+	close(stop)
+	wg.Wait()
 }
 
 // The DB-side batch primitive: PopBatch leases up to max in one call,
@@ -632,4 +598,76 @@ func TestBatchedPoolSurvivesConnectionChurn(t *testing.T) {
 		t.Fatalf("tasks leaked under batched churn: %+v", st)
 	}
 	statsBalanced(t, db)
+}
+
+// rawConn opens a TCP connection to addr that speaks frames directly,
+// bypassing Client: it sends the hello and checks the ack.
+func rawConn(t *testing.T, addr string) (net.Conn, *bufio.Reader) {
+	t.Helper()
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := conn.Write([]byte(clientHello)); err != nil {
+		t.Fatal(err)
+	}
+	r := bufio.NewReader(conn)
+	ack := make([]byte, len(serverHelloAck))
+	if _, err := io.ReadFull(r, ack); err != nil || string(ack) != serverHelloAck {
+		t.Fatalf("hello ack = %q, %v", ack, err)
+	}
+	return conn, r
+}
+
+// The server reads exactly the hello's length and closes a peer whose
+// hello does not match, without a reply and without buffering the rest:
+// a 1 MiB line with no newline and a JSON request line are both refused
+// before any request is counted, and the server keeps serving.
+func TestServerRefusesBadHello(t *testing.T) {
+	db := NewDB()
+	defer db.Close()
+	srv, err := Serve(db, "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+
+	requests := mNetRequests.Value()
+	for _, tc := range []struct {
+		name string
+		send []byte
+	}{
+		{"no-newline", bytes.Repeat([]byte{'x'}, 1<<20)},
+		{"json-line", []byte(`{"op":"stats"}` + "\n")},
+	} {
+		conn, err := net.Dial("tcp", srv.Addr())
+		if err != nil {
+			t.Fatal(err)
+		}
+		// The server may close mid-write; the write's outcome is not the
+		// point, the reply is.
+		go func() { _, _ = conn.Write(tc.send) }()
+		_ = conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+		reply, err := io.ReadAll(conn)
+		conn.Close()
+		if len(reply) != 0 {
+			t.Fatalf("%s: server replied %q", tc.name, reply)
+		}
+		var ne net.Error
+		if errors.As(err, &ne) && ne.Timeout() {
+			t.Fatalf("%s: server kept the connection open", tc.name)
+		}
+	}
+	if got := mNetRequests.Value(); got != requests {
+		t.Fatalf("emews.net.requests moved by %d on refused hellos", got-requests)
+	}
+
+	c, err := Dial(srv.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	if _, err := c.RemoteStats(); err != nil {
+		t.Fatalf("server stopped serving after refused hellos: %v", err)
+	}
 }

@@ -39,8 +39,7 @@ func StartRemotePool(addr, taskType string, workers int, handler Handler) (*Remo
 // StartRemotePoolBatched is StartRemotePool with batched wire ops: each
 // worker leases up to batch tasks per round trip (pop_batch) and resolves
 // them together (finish_batch), amortizing the network exchange over the
-// batch. batch <= 1 uses the single-op path, which also works against
-// pre-v2 servers that lack the batch ops.
+// batch. batch <= 1 uses the single-op path.
 func StartRemotePoolBatched(addr, taskType string, workers, batch int, handler Handler) (*RemotePool, error) {
 	if workers <= 0 {
 		return nil, errors.New("emews: remote pool needs at least one worker")

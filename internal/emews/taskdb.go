@@ -483,8 +483,8 @@ func (db *DB) finish(id, epoch int64, status TaskStatus, result, errMsg string) 
 // epoch (the one recorded at pop time), otherwise the claim is stale —
 // its task was reclaimed, requeued, and possibly re-popped — and the
 // resolution is rejected with ErrStaleClaim instead of silently
-// corrupting the newer attempt. epoch == 0 is the unfenced legacy path
-// (old wire clients) and only checks that the task is running. A
+// corrupting the newer attempt. epoch == 0 is the unfenced path and
+// only checks that the task is running. A
 // duplicate delivery of the same attempt's resolution (same epoch,
 // already recorded) is acknowledged, which makes fenced Complete/Fail
 // safe to retry over a flaky transport.

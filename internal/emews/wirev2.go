@@ -11,18 +11,16 @@
 //	offset 12  length     uint32 big-endian payload byte count
 //
 // Payloads are a compact field encoding (uvarint/varint integers,
-// length-prefixed strings) of the same wireRequest/wireResponse structs the
-// v1 JSON framing serializes, so both framings share one server dispatch.
+// length-prefixed strings) of the wireRequest/wireResponse structs.
 // Request ids let a connection carry many ops in flight: the server
 // dispatches frames concurrently and responses may return out of order.
 //
-// Negotiation: a v2 client opens with the clientHello line. A v2 server
-// recognizes it and answers serverHelloAck, after which both sides speak
-// binary frames. A v1 (JSON) server consumes the hello as one malformed
-// request line and answers a JSON error object, which the client detects
-// (first byte '{') and falls back to the v1 framing. A v1 client's first
-// byte is '{', which a v2 server detects and routes to the v1 handler. Both
-// fallbacks cost at most one round trip and no reconnect.
+// Hello: the client opens every connection with clientHello and the
+// server answers serverHelloAck, after which both sides speak frames.
+// Each side reads exactly the other's fixed-length line, so the hello is
+// the version check and bounds what a peer can make the server buffer.
+// A server closes a connection whose hello does not match without a
+// reply. The ack also proves the peer live before any op is written.
 package emews
 
 import (
@@ -41,8 +39,7 @@ const (
 	maxWireBatch    = 1 << 16  // decoder cap on any list length
 )
 
-// Handshake lines. Both end in '\n' so a v1 server consumes the hello as
-// exactly one (invalid) request line.
+// Hello lines, read back as exact byte counts.
 const (
 	clientHello    = "OSPREY-WIRE/2\n"
 	serverHelloAck = "OSPREY-WIRE/2 OK\n"
@@ -62,25 +59,29 @@ const (
 	opcWALFetch
 )
 
-var opToCode = map[string]byte{
-	"submit":       opcSubmit,
-	"pop":          opcPop,
-	"complete":     opcComplete,
-	"fail":         opcFail,
-	"result":       opcResult,
-	"stats":        opcStats,
-	"submit_batch": opcSubmitBatch,
-	"pop_batch":    opcPopBatch,
-	"finish_batch": opcFinishBatch,
-	"wal_fetch":    opcWALFetch,
+// opNames names the op codes for messages; a code outside it is unknown
+// to the decoder.
+var opNames = [...]string{
+	opcSubmit:      "submit",
+	opcPop:         "pop",
+	opcComplete:    "complete",
+	opcFail:        "fail",
+	opcResult:      "result",
+	opcStats:       "stats",
+	opcSubmitBatch: "submit_batch",
+	opcPopBatch:    "pop_batch",
+	opcFinishBatch: "finish_batch",
+	opcWALFetch:    "wal_fetch",
 }
 
-var codeToOp = map[byte]string{}
+func knownOp(code byte) bool { return int(code) < len(opNames) && opNames[code] != "" }
 
-func init() {
-	for op, code := range opToCode {
-		codeToOp[code] = op
+// opName names an op code for messages.
+func opName(code byte) string {
+	if knownOp(code) {
+		return opNames[code]
 	}
+	return fmt.Sprintf("code %d", code)
 }
 
 var errBadFrame = errors.New("emews: bad wire frame")
@@ -254,11 +255,7 @@ func appendFrame(b []byte, code byte, id uint64, encode func([]byte) []byte) ([]
 }
 
 func appendRequestFrame(b []byte, id uint64, req *wireRequest) ([]byte, error) {
-	code, ok := opToCode[req.Op]
-	if !ok {
-		return nil, fmt.Errorf("emews: unknown op %q", req.Op)
-	}
-	return appendFrame(b, code, id, func(b []byte) []byte { return appendRequestPayload(b, req) })
+	return appendFrame(b, req.Op, id, func(b []byte) []byte { return appendRequestPayload(b, req) })
 }
 
 func appendResponseFrame(b []byte, code byte, id uint64, resp *wireResponse) []byte {
@@ -407,12 +404,11 @@ func (r *wireReader) count(what string) int {
 }
 
 func decodeRequestPayload(code byte, payload []byte) (wireRequest, error) {
-	op, ok := codeToOp[code]
-	if !ok {
+	if !knownOp(code) {
 		return wireRequest{}, fmt.Errorf("%w: unknown op code %d", errBadFrame, code)
 	}
 	r := &wireReader{b: payload}
-	req := wireRequest{Op: op}
+	req := wireRequest{Op: code}
 	req.Type = r.str("type")
 	req.Payload = r.str("payload")
 	req.Result = r.str("result")
@@ -451,7 +447,7 @@ func decodeRequestPayload(code byte, payload []byte) (wireRequest, error) {
 }
 
 func decodeResponsePayload(code byte, payload []byte) (wireResponse, error) {
-	if _, ok := codeToOp[code]; !ok {
+	if !knownOp(code) {
 		return wireResponse{}, fmt.Errorf("%w: unknown op code %d", errBadFrame, code)
 	}
 	r := &wireReader{b: payload}

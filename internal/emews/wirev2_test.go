@@ -9,7 +9,7 @@ import (
 // fullRequest populates every wireRequest field the codec carries.
 func fullRequest() wireRequest {
 	return wireRequest{
-		Op:          "finish_batch",
+		Op:          opcFinishBatch,
 		Type:        "sim",
 		Priority:    -3,
 		Payload:     "payload with \x00 bytes and unicode ✓",
@@ -104,7 +104,7 @@ func TestWireV2RoundTrip(t *testing.T) {
 	}
 
 	// A zero-value request (all fields empty) must round-trip too.
-	minimal := wireRequest{Op: "stats"}
+	minimal := wireRequest{Op: opcStats}
 	buf, err = appendRequestFrame(nil, 1, &minimal)
 	if err != nil {
 		t.Fatal(err)
@@ -121,7 +121,7 @@ func TestWireV2RoundTrip(t *testing.T) {
 // Malformed frames must be rejected with errBadFrame, never accepted or
 // panicked on.
 func TestWireV2RejectsBadFrames(t *testing.T) {
-	good, err := appendRequestFrame(nil, 1, &wireRequest{Op: "pop", Type: "m"})
+	good, err := appendRequestFrame(nil, 1, &wireRequest{Op: opcPop, Type: "m"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -202,7 +202,7 @@ func TestWireV2RejectsBadFrames(t *testing.T) {
 
 // The frame decoder must never panic or over-allocate on arbitrary input.
 func FuzzDecodeFrame(f *testing.F) {
-	if buf, err := appendRequestFrame(nil, 3, &wireRequest{Op: "pop", Type: "m", TimeoutMS: 5}); err == nil {
+	if buf, err := appendRequestFrame(nil, 3, &wireRequest{Op: opcPop, Type: "m", TimeoutMS: 5}); err == nil {
 		f.Add(buf)
 	}
 	full := fullRequest()
