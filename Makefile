@@ -77,10 +77,11 @@ race-numerics:
 	$(GO) test -race -run 'SerialParallel|Parallel|Incremental|MeanCache|Predictor|Concurrent' ./internal/gp/ ./internal/music/ ./internal/sobolidx/ ./internal/rt/ ./internal/core/ ./internal/linalg/
 
 # End-to-end CLI smoke: a daemon on a temp -data-dir driven through real
-# ospreyctl subcommands (exit codes + JSON shapes), plus the daemon's own
-# SIGKILL/recover round trip.
+# ospreyctl subcommands (exit codes + JSON shapes), the daemon's own
+# SIGKILL/recover round trip, and aero-server's token-file checks and
+# SIGINT/reboot round trip on -data-dir.
 smoke-ctl:
-	$(GO) test -run 'TestOspreyctlSmoke|TestDurabilityRoundTrip' -count=1 ./cmd/ospreyctl/ ./cmd/osprey-daemon/
+	$(GO) test -run 'TestOspreyctlSmoke|TestDurabilityRoundTrip|TestLoadAuth|TestDataDirRoundTrip' -count=1 ./cmd/ospreyctl/ ./cmd/osprey-daemon/ ./cmd/aero-server/
 
 # The default test path runs the race detector over the lifecycle
 # packages so the fixed races stay fixed.

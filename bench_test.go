@@ -9,7 +9,6 @@ package osprey_test
 import (
 	"bufio"
 	"context"
-	"encoding/json"
 	"fmt"
 	"io"
 	"math"
@@ -930,75 +929,12 @@ func BenchmarkWALReplay(b *testing.B) {
 }
 
 // BenchmarkWatchFanout measures the metadata watch path fanning one
-// version append out to 1000 subscribers over real HTTP, comparing the
-// two transports GET /watch offers. poll-1k holds one server-side
-// long-poll session per subscriber and pays a full request/response per
-// subscriber per event; sse-1k holds one persistent SSE stream per
-// subscriber and pays only the frame write. Both share the store-side
-// bounded-queue subscription hub, so the spread between them is pure
-// transport cost. Reported metric: deliveries/s (events × subscribers
-// over wall time).
+// version append out to 1000 subscribers over real HTTP: one persistent
+// SSE stream per subscriber on GET /watch, fed by the store's
+// bounded-queue subscription hub. Reported metric: deliveries/s
+// (events × subscribers over wall time).
 func BenchmarkWatchFanout(b *testing.B) {
 	const subscribers = 1000
-
-	b.Run("poll-1k", func(b *testing.B) {
-		store := aero.NewStore()
-		srv := httptest.NewServer(aero.NewServer(store))
-		defer srv.Close()
-		rec, err := store.CreateData("hot", "")
-		if err != nil {
-			b.Fatal(err)
-		}
-		hc := &http.Client{Transport: &http.Transport{MaxIdleConnsPerHost: subscribers}}
-		defer hc.CloseIdleConnections()
-		poll := func(i int, timeout string) (int, error) {
-			resp, err := hc.Get(fmt.Sprintf("%s/watch?sub=s%d&buffer=1024&timeout=%s", srv.URL, i, timeout))
-			if err != nil {
-				return 0, err
-			}
-			defer resp.Body.Close()
-			var out struct {
-				Events []aero.DataUpdate `json:"events"`
-			}
-			if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
-				return 0, err
-			}
-			return len(out.Events), nil
-		}
-		// Register every session before the clock starts: the first poll
-		// creates the server-side subscription.
-		for i := 0; i < subscribers; i++ {
-			if _, err := poll(i, "1ms"); err != nil {
-				b.Fatal(err)
-			}
-		}
-		received := make([]int, subscribers)
-		start := time.Now()
-		b.ResetTimer()
-		for n := 0; n < b.N; n++ {
-			if _, err := store.AppendVersion(rec.UUID, aero.Version{Checksum: "bench"}); err != nil {
-				b.Fatal(err)
-			}
-			var wg sync.WaitGroup
-			for i := 0; i < subscribers; i++ {
-				wg.Add(1)
-				go func(i int) {
-					defer wg.Done()
-					for received[i] <= n {
-						got, err := poll(i, "2s")
-						if err != nil {
-							b.Error(err)
-							return
-						}
-						received[i] += got
-					}
-				}(i)
-			}
-			wg.Wait()
-		}
-		b.StopTimer()
-		b.ReportMetric(float64(b.N)*subscribers/time.Since(start).Seconds(), "deliveries/s")
-	})
 
 	b.Run("sse-1k", func(b *testing.B) {
 		store := aero.NewStore()

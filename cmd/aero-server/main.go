@@ -5,8 +5,8 @@
 //
 // Usage:
 //
-//	aero-server [-addr 127.0.0.1:7523] [-state aero-state.json]
-//	            [-data-dir DIR] [-fsync always|interval|never]
+//	aero-server [-addr 127.0.0.1:7523] [-data-dir DIR]
+//	            [-fsync always|interval|never]
 //	            [-auth tokens.json] [-quota 50 -quota-burst 10]
 //
 // -auth enables multi-tenant mode: requests must carry a bearer token
@@ -14,13 +14,10 @@
 // -quota adds per-tenant token-bucket admission on the mutation routes
 // (429 + Retry-After on pushback).
 //
-// When -state is given, the store is loaded from the file at startup (if it
-// exists) and persisted on every mutation-free interval and at shutdown.
-//
-// -data-dir enables crash-safe write-ahead logging instead: every mutation
-// is persisted before it is applied, restarts replay the log (tolerating a
+// -data-dir enables crash-safe write-ahead logging: every mutation is
+// persisted before it is applied, restarts replay the log (tolerating a
 // torn tail), and POST /admin/compact (`ospreyctl compact`) snapshots the
-// store and truncates the log. -state and -data-dir are mutually exclusive.
+// store and truncates the log. Without it the store lives in memory only.
 package main
 
 import (
@@ -55,10 +52,15 @@ func loadAuth(path string) (*globus.Auth, int, error) {
 		return nil, 0, fmt.Errorf("%s: %w", path, err)
 	}
 	auth := globus.NewAuth()
+	seen := map[string]bool{}
 	for i, e := range entries {
 		if e.Token == "" || e.Tenant == "" {
 			return nil, 0, fmt.Errorf("%s: entry %d needs both token and tenant", path, i)
 		}
+		if seen[e.Token] {
+			return nil, 0, fmt.Errorf("%s: entry %d repeats a token of an earlier entry", path, i)
+		}
+		seen[e.Token] = true
 		if err := auth.RegisterToken(&globus.Token{
 			ID:       e.Token,
 			Identity: e.Tenant,
@@ -75,7 +77,6 @@ func main() {
 	log.SetPrefix("aero-server: ")
 	var (
 		addr       = flag.String("addr", "127.0.0.1:7523", "listen address")
-		state      = flag.String("state", "", "optional JSON state file for persistence")
 		dataDir    = flag.String("data-dir", "", "enable WAL persistence under this directory")
 		fsyncMode  = flag.String("fsync", "always", "WAL fsync policy: always|interval|never")
 		authFile   = flag.String("auth", "", `enable multi-tenant bearer auth: JSON token file like [{"token":"t-1","tenant":"alice"}]`)
@@ -83,9 +84,6 @@ func main() {
 		quotaBurst = flag.Float64("quota-burst", 10, "per-tenant quota token-bucket burst")
 	)
 	flag.Parse()
-	if *state != "" && *dataDir != "" {
-		log.Fatal("-state and -data-dir are mutually exclusive")
-	}
 
 	var store *aero.Store
 	var walLog *wal.Log
@@ -108,37 +106,6 @@ func main() {
 	} else {
 		store = aero.NewStore()
 	}
-	if *state != "" {
-		if f, err := os.Open(*state); err == nil {
-			if err := store.Load(f); err != nil {
-				log.Fatalf("loading state: %v", err)
-			}
-			f.Close()
-			log.Printf("loaded state from %s", *state)
-		}
-	}
-
-	save := func() {
-		if *state == "" {
-			return
-		}
-		tmp := *state + ".tmp"
-		f, err := os.Create(tmp)
-		if err != nil {
-			log.Printf("save: %v", err)
-			return
-		}
-		if err := store.Save(f); err != nil {
-			log.Printf("save: %v", err)
-			f.Close()
-			return
-		}
-		f.Close()
-		if err := os.Rename(tmp, *state); err != nil {
-			log.Printf("save: %v", err)
-		}
-	}
-
 	handler := aero.NewServer(store)
 	if walLog != nil {
 		handler.SetCompact(store.Compact)
@@ -169,19 +136,10 @@ func main() {
 		}
 	}()
 
-	if *state != "" {
-		go func() {
-			for range time.Tick(30 * time.Second) {
-				save()
-			}
-		}()
-	}
-
 	stop := make(chan os.Signal, 1)
 	signal.Notify(stop, os.Interrupt)
 	<-stop
 	log.Print("shutting down")
-	save()
 	if walLog != nil {
 		if err := store.Compact(); err != nil {
 			log.Printf("compact: %v", err)

@@ -104,21 +104,15 @@ func TestStoreProvenanceAndLineage(t *testing.T) {
 	}
 }
 
-func TestStoreSaveLoadRoundTrip(t *testing.T) {
-	s := NewStore()
+func TestStoreSnapshotRoundTrip(t *testing.T) {
+	dir := t.TempDir()
+	s := openStoreAt(t, dir)
 	rec, _ := s.CreateData("x", "http://src")
 	s.AppendVersion(rec.UUID, Version{Checksum: "a", Size: 1})
 	s.CreateFlow(FlowRecord{Name: "f", Kind: AnalysisKind, InputUUIDs: []string{rec.UUID}})
 	s.AddProvenance(ProvenanceEdge{FlowID: "f", InputUUID: rec.UUID, OutputUUID: "other"})
 
-	var buf bytes.Buffer
-	if err := s.Save(&buf); err != nil {
-		t.Fatal(err)
-	}
-	s2 := NewStore()
-	if err := s2.Load(&buf); err != nil {
-		t.Fatal(err)
-	}
+	_, s2 := compactReopen(t, s, dir)
 	got, err := s2.GetData(rec.UUID)
 	if err != nil || got.Latest().Checksum != "a" {
 		t.Fatalf("loaded store wrong: %+v, %v", got, err)

@@ -144,8 +144,29 @@ func (s *Store) Compact() error {
 	return s.wal.WriteSnapshot(buf.Bytes())
 }
 
-// loadSnapshot replaces the store contents from snapshot bytes (the
-// storeSnapshot JSON also used by Save/Load).
+// loadSnapshot replaces the store contents from storeSnapshot JSON bytes
+// written by Compact.
 func (s *Store) loadSnapshot(b []byte) error {
-	return s.Load(bytes.NewReader(b))
+	var snap storeSnapshot
+	if err := json.Unmarshal(b, &snap); err != nil {
+		return fmt.Errorf("aero: load snapshot: %w", err)
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.next = snap.Next
+	s.nextT = map[string]int{}
+	for t, n := range snap.NextT {
+		s.nextT[t] = n
+	}
+	s.data = map[string]*DataRecord{}
+	for _, d := range snap.Data {
+		s.data[d.UUID] = cloneData(d)
+	}
+	s.flows = map[string]*FlowRecord{}
+	for _, f := range snap.Flows {
+		cp := *f
+		s.flows[f.ID] = &cp
+	}
+	s.prov = append([]ProvenanceEdge(nil), snap.Prov...)
+	return nil
 }

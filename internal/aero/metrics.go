@@ -19,6 +19,7 @@ var (
 	mFlowsTriggered = obs.GetCounter("aero.flows.triggered")
 	mAnalysisRuns   = obs.GetCounter("aero.analysis.runs")
 	mAnalysisErrors = obs.GetCounter("aero.analysis.errors")
+	mFlowMetaErrors = obs.GetCounter("aero.flow.meta_errors")
 	mWatchTrigger   = obs.GetHistogram("aero.watch.trigger_seconds")
 
 	mWatchPublished   = obs.GetCounter("aero.watch.published")

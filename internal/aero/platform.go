@@ -38,7 +38,7 @@ func (p TriggerPolicy) String() string {
 // Event is one entry of the platform's observable activity log.
 type Event struct {
 	Time   time.Time
-	Kind   string // "ingest.nochange" | "ingest.update" | "analysis.run" | "analysis.error" | ...
+	Kind   string // "ingest.nochange" | "ingest.update" | "analysis.run" | "analysis.error" | "meta.error" | ...
 	Flow   string
 	Detail string
 }
@@ -64,7 +64,6 @@ type Platform struct {
 	evDropped  int64
 	wg         sync.WaitGroup
 	httpClient *http.Client
-	watch      *watchHub
 	endpoints  map[string]endpointHandle
 }
 
@@ -109,7 +108,6 @@ func NewPlatform(cfg Config) (*Platform, error) {
 		tokenID:    cfg.TokenID,
 		httpClient: hc,
 		evCap:      evCap,
-		watch:      newWatchHub(),
 	}, nil
 }
 
@@ -126,6 +124,17 @@ func (p *Platform) logEvent(kind, flow, detail string) {
 		mEventsDropped.Inc()
 	}
 	p.mu.Unlock()
+}
+
+// metaError records a failed provenance or run-accounting write. The output
+// version it describes is already committed, so the flow carries on: a
+// retry would append a duplicate version. The failure is counted and
+// logged instead of discarded.
+func (p *Platform) metaError(flow string, err error) {
+	if err != nil {
+		mFlowMetaErrors.Inc()
+		p.logEvent("meta.error", flow, err.Error())
+	}
 }
 
 // Events returns a copy of the activity log, oldest first. Once the ring
@@ -366,13 +375,13 @@ func (f *IngestionFlow) pollLocked(span *obs.Span) (bool, error) {
 	}
 
 	// 4. Provenance and run accounting.
-	_ = p.Meta.AddProvenance(ProvenanceEdge{
+	p.metaError(f.ID, p.Meta.AddProvenance(ProvenanceEdge{
 		FlowID:    f.ID,
 		InputUUID: f.RawUUID, InputVersion: rawRec.Latest().Num,
 		OutputUUID: f.OutputUUID, OutputVersion: outRec.Latest().Num,
 		Timestamp: time.Now(),
-	})
-	_ = p.Meta.RecordRun(f.ID, time.Now())
+	}))
+	p.metaError(f.ID, p.Meta.RecordRun(f.ID, time.Now()))
 	p.logEvent("ingest.update", f.ID, fmt.Sprintf("%s v%d", f.OutputUUID, outRec.Latest().Num))
 
 	// 5. Trigger downstream analyses.
@@ -530,7 +539,6 @@ func (p *Platform) notifyUpdate(uuid string, version int) {
 	p.mu.Lock()
 	subs := append([]*AnalysisFlow(nil), p.analyses...)
 	p.mu.Unlock()
-	p.watch.publish(DataUpdate{UUID: uuid, Version: version, Time: now})
 	for _, flow := range subs {
 		flow.observe(uuid, version, now)
 	}
@@ -667,16 +675,16 @@ func (f *AnalysisFlow) execute(versions map[string]int) error {
 			return err
 		}
 		for _, in := range req.Inputs {
-			_ = p.Meta.AddProvenance(ProvenanceEdge{
+			p.metaError(f.ID, p.Meta.AddProvenance(ProvenanceEdge{
 				FlowID:    f.ID,
 				InputUUID: in.UUID, InputVersion: in.Version,
 				OutputUUID: uuid, OutputVersion: outRec.Latest().Num,
 				Timestamp: now,
-			})
+			}))
 		}
 		p.notifyUpdate(uuid, outRec.Latest().Num)
 	}
-	_ = p.Meta.RecordRun(f.ID, now)
+	p.metaError(f.ID, p.Meta.RecordRun(f.ID, now))
 	p.logEvent("analysis.run", f.ID, f.Name)
 	return nil
 }

@@ -3,6 +3,7 @@ package aero
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"fmt"
 	"net/http/httptest"
 	"os"
@@ -26,14 +27,43 @@ func openStoreAt(t *testing.T, dir string) *Store {
 	return s
 }
 
-// saveJSON snapshots a store through its public Save for comparison.
+// saveJSON renders a store's full state through the snapshot codec that
+// Compact writes, for comparison.
 func saveJSON(t *testing.T, s *Store) string {
 	t.Helper()
-	var buf bytes.Buffer
-	if err := s.Save(&buf); err != nil {
+	s.mu.RLock()
+	snap := s.snapshotLocked()
+	s.mu.RUnlock()
+	b, err := json.Marshal(snap)
+	if err != nil {
 		t.Fatal(err)
 	}
-	return buf.String()
+	return string(b)
+}
+
+// compactReopen snapshots s with Compact, closes its log and recovers the
+// directory, returning the snapshot bytes and the recovered store.
+func compactReopen(t *testing.T, s *Store, dir string) ([]byte, *Store) {
+	t.Helper()
+	if err := s.Compact(); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.wal.Close(); err != nil {
+		t.Fatal(err)
+	}
+	l, err := wal.Open(dir, wal.Options{Name: "wal.aerotest", Policy: wal.SyncNever})
+	if err != nil {
+		t.Fatal(err)
+	}
+	snap, ok := l.Snapshot()
+	if !ok {
+		t.Fatal("no snapshot after Compact")
+	}
+	re, err := OpenStore(l)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return snap, re
 }
 
 // populate drives every mutation kind through the store.

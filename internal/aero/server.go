@@ -11,7 +11,6 @@ import (
 	"net/http"
 	"strconv"
 	"strings"
-	"sync"
 	"time"
 
 	"osprey/internal/globus"
@@ -33,7 +32,7 @@ import (
 //	GET  /flows/{id}                                     -> FlowRecord
 //	POST /flows/{id}/runs      {at}                      -> 204
 //	POST /provenance           ProvenanceEdge            -> 204
-//	GET  /watch?uuid=&timeout=&buffer=&sub=              -> SSE stream or long-poll JSON
+//	GET  /watch?uuid=&timeout=&buffer=                   -> SSE stream (406 without Accept: text/event-stream)
 //	GET  /healthz                                        -> 200 "ok"
 //	GET  /metrics                                        -> obs.Snapshot JSON
 //	GET  /trace                                          -> obs.TraceSnapshot JSON
@@ -51,16 +50,11 @@ type Server struct {
 	compact func() error // set by SetCompact; nil = persistence disabled
 	auth    *globus.Auth // set by SetAuth; nil = single-tenant, no auth
 	quotas  *Quotas      // set by SetQuotas; nil = unmetered
-
-	// Long-poll watch sessions (sub= parameter), keyed tenant+"\x00"+id so
-	// session IDs cannot collide across tenants.
-	sessMu   sync.Mutex
-	sessions map[string]*watchSession
 }
 
 // NewServer wraps a store in the HTTP API.
 func NewServer(store *Store) *Server {
-	s := &Server{store: store, mux: http.NewServeMux(), sessions: map[string]*watchSession{}}
+	s := &Server{store: store, mux: http.NewServeMux()}
 	s.mux.HandleFunc("/data", s.handleData)
 	s.mux.HandleFunc("/data/", s.handleDataItem)
 	s.mux.HandleFunc("/flows", s.handleFlows)

@@ -352,42 +352,52 @@ func TestWatchSSETenantScoped(t *testing.T) {
 	})
 }
 
-func TestWatchLongPollSession(t *testing.T) {
+func TestWatchRequiresEventStream(t *testing.T) {
 	store := NewStore()
 	srv := httptest.NewServer(NewServer(store))
 	defer srv.Close()
-	d, _ := store.CreateData("polled", "")
-
-	poll := func(params string) (events []DataUpdate, dropped int64) {
-		resp, err := http.Get(srv.URL + "/watch?" + params)
+	for _, accept := range []string{"", "application/json"} {
+		req, _ := http.NewRequest(http.MethodGet, srv.URL+"/watch?timeout=50ms", nil)
+		if accept != "" {
+			req.Header.Set("Accept", accept)
+		}
+		resp, err := http.DefaultClient.Do(req)
 		if err != nil {
 			t.Fatal(err)
 		}
-		defer resp.Body.Close()
-		var out struct {
-			Events  []DataUpdate `json:"events"`
-			Dropped int64        `json:"dropped"`
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusNotAcceptable {
+			t.Fatalf("Accept %q: status %d, want 406", accept, resp.StatusCode)
 		}
-		if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
-			t.Fatal(err)
-		}
-		return out.Events, out.Dropped
 	}
+	store.hub.mu.Lock()
+	defer store.hub.mu.Unlock()
+	if n := len(store.hub.subs); n != 0 {
+		t.Fatalf("%d subscriptions left open by refused watches", n)
+	}
+}
 
-	// Session poll: an empty first poll registers the subscription, so the
-	// append between polls is captured, not lost.
-	if events, _ := poll("sub=s1&timeout=50ms"); len(events) != 0 {
-		t.Fatalf("first poll returned %d events", len(events))
-	}
-	if _, err := store.AppendVersion(d.UUID, Version{Checksum: "c1"}); err != nil {
+func TestWatchBufferCapped(t *testing.T) {
+	store := NewStore()
+	srv := httptest.NewServer(NewServer(store))
+	defer srv.Close()
+	req, _ := http.NewRequest(http.MethodGet, srv.URL+"/watch?buffer=1000000000", nil)
+	req.Header.Set("Accept", "text/event-stream")
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
 		t.Fatal(err)
 	}
-	events, _ := poll("sub=s1&timeout=1s")
-	if len(events) != 1 || events[0].Version != 1 {
-		t.Fatalf("session poll = %+v", events)
+	defer resp.Body.Close()
+	readSSE(t, bufio.NewScanner(resp.Body), func(ev sseEvent) bool { return ev.event != "ready" })
+
+	store.hub.mu.Lock()
+	defer store.hub.mu.Unlock()
+	if len(store.hub.subs) != 1 {
+		t.Fatalf("%d subscriptions, want 1", len(store.hub.subs))
 	}
-	// Delivered exactly once: the next poll is empty again.
-	if events, _ := poll("sub=s1&timeout=50ms"); len(events) != 0 {
-		t.Fatalf("event delivered twice: %+v", events)
+	for _, sub := range store.hub.subs {
+		if sub.cap != watchMaxBuffer {
+			t.Fatalf("subscriber queue bound %d, want the %d cap", sub.cap, watchMaxBuffer)
+		}
 	}
 }

@@ -292,7 +292,7 @@ func (s *Store) SubscribeUpdates(tenant, uuid string, buffer int) (*Subscription
 	if uuid != "" && !owned(tenant, uuid) {
 		return nil, fmt.Errorf("%w: data %s", ErrNotFound, uuid)
 	}
-	return s.hub.subscribe(tenant, uuid, buffer, true), nil
+	return s.hub.subscribe(tenant, uuid, buffer), nil
 }
 
 // Tenants lists every tenant that has created an identity, legacy ""

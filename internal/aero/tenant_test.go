@@ -1,7 +1,6 @@
 package aero
 
 import (
-	"bytes"
 	"errors"
 	"strings"
 	"testing"
@@ -154,18 +153,12 @@ func TestTenantWALRecovery(t *testing.T) {
 }
 
 func TestTenantSnapshotRoundTrip(t *testing.T) {
-	store := NewStore()
+	dir := t.TempDir()
+	store := openStoreAt(t, dir)
 	ad, _ := store.Tenant("alice").CreateData("a", "")
-	var buf bytes.Buffer
-	if err := store.Save(&buf); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(buf.String(), "next_tenants") {
+	snap, re := compactReopen(t, store, dir)
+	if !strings.Contains(string(snap), "next_tenants") {
 		t.Fatal("tenant counters missing from snapshot")
-	}
-	re := NewStore()
-	if err := re.Load(bytes.NewReader(buf.Bytes())); err != nil {
-		t.Fatal(err)
 	}
 	if _, err := re.Tenant("alice").GetData(ad.UUID); err != nil {
 		t.Fatal(err)
@@ -179,13 +172,10 @@ func TestTenantSnapshotRoundTrip(t *testing.T) {
 func TestLegacySnapshotUnchanged(t *testing.T) {
 	// A store that never saw a tenant must serialize exactly as before
 	// tenancy existed: no next_tenants key, unprefixed IDs.
-	store := NewStore()
+	dir := t.TempDir()
+	store := openStoreAt(t, dir)
 	d, _ := store.CreateData("legacy", "")
-	var buf bytes.Buffer
-	if err := store.Save(&buf); err != nil {
-		t.Fatal(err)
-	}
-	if strings.Contains(buf.String(), "next_tenants") {
+	if snap, _ := compactReopen(t, store, dir); strings.Contains(string(snap), "next_tenants") {
 		t.Fatal("legacy snapshot grew a next_tenants key")
 	}
 	if d.UUID != "data-00000001" {

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"sync"
-	"sync/atomic"
 	"time"
 )
 
@@ -29,14 +28,10 @@ type DataUpdate struct {
 // most recent events plus an honest count of what it missed, instead of
 // stalling the platform or silently losing the tail.
 type Subscription struct {
-	hub  *watchHub
-	id   int
-	uuid string // empty = all data the subscription's tenant can see
-	// tenant scoping: when scoped, only updates whose UUID belongs to
-	// tenant are delivered. The store-level hub subscribes scoped (the
-	// /watch API boundary); the platform hub is single-user and does not.
-	tenant string
-	scoped bool
+	hub    *watchHub
+	id     int
+	uuid   string // empty = all data the subscription's tenant can see
+	tenant string // only updates whose UUID belongs to tenant are delivered
 
 	mu      sync.Mutex
 	queue   []DataUpdate
@@ -50,7 +45,7 @@ func (s *Subscription) matches(u DataUpdate) bool {
 	if s.uuid != "" && s.uuid != u.UUID {
 		return false
 	}
-	return !s.scoped || tenantOf(u.UUID) == s.tenant
+	return tenantOf(u.UUID) == s.tenant
 }
 
 // offer enqueues u, dropping the oldest queued update when full. Never
@@ -66,7 +61,7 @@ func (s *Subscription) offer(u DataUpdate) {
 		copy(s.queue, s.queue[1:])
 		s.queue = s.queue[:len(s.queue)-1]
 		s.dropped++
-		s.hub.addDropped(1)
+		mWatchDropped.Inc()
 	}
 	s.queue = append(s.queue, u)
 	s.mu.Unlock()
@@ -137,21 +132,20 @@ func (s *Subscription) Cancel() {
 // watchHub fans data-update events out to bounded-queue subscriptions and
 // assigns the publish sequence.
 type watchHub struct {
-	mu      sync.Mutex
-	subs    map[int]*Subscription
-	next    int
-	seq     int64
-	dropped atomic.Int64 // atomic: bumped from offer while publish holds mu
+	mu   sync.Mutex
+	subs map[int]*Subscription
+	next int
+	seq  int64
 }
 
 func newWatchHub() *watchHub { return &watchHub{subs: map[int]*Subscription{}} }
 
-func (h *watchHub) subscribe(tenant, uuid string, buffer int, scoped bool) *Subscription {
+func (h *watchHub) subscribe(tenant, uuid string, buffer int) *Subscription {
 	if buffer <= 0 {
 		buffer = 16
 	}
 	s := &Subscription{
-		hub: h, uuid: uuid, tenant: tenant, scoped: scoped,
+		hub: h, uuid: uuid, tenant: tenant,
 		cap: buffer, notify: make(chan struct{}, 1),
 	}
 	h.mu.Lock()
@@ -188,41 +182,6 @@ func (h *watchHub) publish(u DataUpdate) {
 		}
 	}
 }
-
-func (h *watchHub) addDropped(n int64) {
-	mWatchDropped.Add(n)
-	h.dropped.Add(n)
-}
-
-func (h *watchHub) droppedCount() int { return int(h.dropped.Load()) }
-
-// Subscribe returns a channel receiving an event for every new version of
-// uuid (empty uuid = every data identity). Call the returned cancel
-// function to release the subscription; the channel is closed on cancel.
-// The channel is a pump over a bounded drop-oldest Subscription, so a
-// consumer that stops draining loses the oldest undelivered events (the
-// drop is counted) rather than stalling the publisher.
-func (p *Platform) Subscribe(uuid string, buffer int) (<-chan DataUpdate, func()) {
-	sub := p.watch.subscribe("", uuid, buffer, false)
-	ch := make(chan DataUpdate, buffer)
-	go func() {
-		defer close(ch)
-		for {
-			events, _, ok := sub.Next(time.Hour)
-			for _, u := range events {
-				ch <- u
-			}
-			if !ok {
-				return
-			}
-		}
-	}()
-	return ch, sub.Cancel
-}
-
-// DroppedUpdates reports how many watch events were discarded because a
-// subscriber's buffer was full.
-func (p *Platform) DroppedUpdates() int { return p.watch.droppedCount() }
 
 // RetentionPolicy bounds per-identity version history.
 type RetentionPolicy struct {

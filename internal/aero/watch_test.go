@@ -26,24 +26,45 @@ func pushVersion(t *testing.T, rig *testRig, uuid, path, content string) {
 	p.notifyUpdate(uuid, rec.Latest().Num)
 }
 
+// storeOf returns the in-process Store under a rig's platform.
+func storeOf(rig *testRig) *Store { return rig.platform.Meta.(*Store) }
+
+// nextUpdates drains sub until it has delivered n updates, failing the
+// test if they do not all arrive within a second.
+func nextUpdates(t *testing.T, sub *Subscription, n int) []DataUpdate {
+	t.Helper()
+	var got []DataUpdate
+	deadline := time.Now().Add(time.Second)
+	for len(got) < n {
+		wait := time.Until(deadline)
+		if wait <= 0 {
+			t.Fatalf("got %d of %d updates: %+v", len(got), n, got)
+		}
+		events, _, ok := sub.Next(wait)
+		if !ok {
+			t.Fatalf("subscription closed after %d of %d updates", len(got), n)
+		}
+		got = append(got, events...)
+	}
+	return got
+}
+
 func TestSubscribeReceivesUpdates(t *testing.T) {
 	rig := newRig(t, nil)
 	p := rig.platform
 	d, _ := p.Meta.CreateData("watched", "")
-	ch, cancel := p.Subscribe(d.UUID, 4)
-	defer cancel()
+	sub, err := storeOf(rig).SubscribeUpdates("", d.UUID, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sub.Cancel()
 
 	pushVersion(t, rig, d.UUID, "w/v1", "one")
 	pushVersion(t, rig, d.UUID, "w/v2", "two")
 
-	for want := 1; want <= 2; want++ {
-		select {
-		case u := <-ch:
-			if u.UUID != d.UUID || u.Version != want {
-				t.Fatalf("update %d = %+v", want, u)
-			}
-		case <-time.After(time.Second):
-			t.Fatalf("update %d never arrived", want)
+	for i, u := range nextUpdates(t, sub, 2) {
+		if u.UUID != d.UUID || u.Version != i+1 {
+			t.Fatalf("update %d = %+v", i+1, u)
 		}
 	}
 }
@@ -51,48 +72,42 @@ func TestSubscribeReceivesUpdates(t *testing.T) {
 func TestSubscribeWildcardAndFiltering(t *testing.T) {
 	rig := newRig(t, nil)
 	p := rig.platform
+	store := storeOf(rig)
 	a, _ := p.Meta.CreateData("a", "")
 	b, _ := p.Meta.CreateData("b", "")
 
-	all, cancelAll := p.Subscribe("", 8)
-	defer cancelAll()
-	onlyA, cancelA := p.Subscribe(a.UUID, 8)
-	defer cancelA()
+	all, err := store.SubscribeUpdates("", "", 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer all.Cancel()
+	onlyA, err := store.SubscribeUpdates("", a.UUID, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer onlyA.Cancel()
 
 	pushVersion(t, rig, a.UUID, "a/v1", "x")
 	pushVersion(t, rig, b.UUID, "b/v1", "y")
 
-	gotAll := 0
-	timeout := time.After(time.Second)
-	for gotAll < 2 {
-		select {
-		case <-all:
-			gotAll++
-		case <-timeout:
-			t.Fatalf("wildcard subscriber got %d of 2", gotAll)
-		}
+	nextUpdates(t, all, 2)
+	if u := nextUpdates(t, onlyA, 1); len(u) != 1 || u[0].UUID != a.UUID {
+		t.Fatalf("filtered subscriber got %+v", u)
 	}
-	select {
-	case u := <-onlyA:
-		if u.UUID != a.UUID {
-			t.Fatalf("filtered subscriber got %s", u.UUID)
-		}
-	case <-time.After(time.Second):
-		t.Fatal("filtered subscriber got nothing")
-	}
-	select {
-	case u := <-onlyA:
-		t.Fatalf("filtered subscriber got extra event %+v", u)
-	case <-time.After(50 * time.Millisecond):
+	if extra, _, _ := onlyA.Next(50 * time.Millisecond); len(extra) != 0 {
+		t.Fatalf("filtered subscriber got extra events %+v", extra)
 	}
 }
 
 func TestSubscribeCancelClosesChannel(t *testing.T) {
 	rig := newRig(t, nil)
-	ch, cancel := rig.platform.Subscribe("", 1)
-	cancel()
-	if _, ok := <-ch; ok {
-		t.Fatal("channel not closed after cancel")
+	sub, err := storeOf(rig).SubscribeUpdates("", "", 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sub.Cancel()
+	if _, _, ok := sub.Next(time.Second); ok {
+		t.Fatal("subscription still open after cancel")
 	}
 }
 
@@ -100,12 +115,15 @@ func TestSlowSubscriberDropsNotBlocks(t *testing.T) {
 	rig := newRig(t, nil)
 	p := rig.platform
 	d, _ := p.Meta.CreateData("busy", "")
-	_, cancel := p.Subscribe(d.UUID, 1) // tiny buffer, never drained
-	defer cancel()
+	sub, err := storeOf(rig).SubscribeUpdates("", d.UUID, 1) // tiny buffer, never drained
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sub.Cancel()
 	for i := 0; i < 5; i++ {
 		pushVersion(t, rig, d.UUID, "busy/v"+string(rune('0'+i)), string(rune('a'+i)))
 	}
-	if p.DroppedUpdates() == 0 {
+	if sub.Dropped() == 0 {
 		t.Fatal("expected dropped updates for a full buffer")
 	}
 }
@@ -160,36 +178,104 @@ func TestPruneValidation(t *testing.T) {
 	}
 }
 
-func TestSubscriberSeesIngestionPipeline(t *testing.T) {
-	// End-to-end: a watch on an ingestion output fires when Poll ingests.
-	rig := newRig(t, nil)
-	p := rig.platform
+// identityIngestion registers an ingestion flow named name over a fresh
+// source serving "v1", with an identity transform.
+func identityIngestion(t *testing.T, rig *testRig, name string) *IngestionFlow {
+	t.Helper()
 	src := &mutableSource{}
 	src.set("v1")
 	srv := httptest.NewServer(httpBody(src))
-	defer srv.Close()
+	t.Cleanup(srv.Close)
 	ident, _ := rig.compute.RegisterFunction(rig.token.ID, "id", func(ctx context.Context, b []byte) ([]byte, error) {
 		return b, nil
 	})
-	flow, err := p.RegisterIngestion(IngestionSpec{
-		Name: "watched-feed", URL: srv.URL, Compute: rig.compute, TransformID: ident,
+	flow, err := rig.platform.RegisterIngestion(IngestionSpec{
+		Name: name, URL: srv.URL, Compute: rig.compute, TransformID: ident,
 		Storage: StorageTarget{Endpoint: rig.endpoint, Collection: "osprey"},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	ch, cancel := p.Subscribe(flow.OutputUUID, 2)
-	defer cancel()
+	return flow
+}
+
+func TestSubscriberSeesIngestionPipeline(t *testing.T) {
+	// End-to-end: a watch on an ingestion output fires when Poll ingests.
+	rig := newRig(t, nil)
+	flow := identityIngestion(t, rig, "watched-feed")
+	sub, err := storeOf(rig).SubscribeUpdates("", flow.OutputUUID, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sub.Cancel()
 	if _, err := flow.Poll(); err != nil {
 		t.Fatal(err)
 	}
-	select {
-	case u := <-ch:
-		if u.Version != 1 {
-			t.Fatalf("unexpected version %d", u.Version)
+	if u := nextUpdates(t, sub, 1); u[0].Version != 1 {
+		t.Fatalf("unexpected version %d", u[0].Version)
+	}
+}
+
+func TestWatchPublishesEachVersionOnce(t *testing.T) {
+	// A Platform over an in-process Store: one ingestion poll appends a
+	// raw and an output version, and each is announced exactly once.
+	rig := newRig(t, nil)
+	flow := identityIngestion(t, rig, "once-feed")
+	before := mWatchPublished.Value()
+	if updated, err := flow.Poll(); err != nil || !updated {
+		t.Fatalf("poll = %v, %v", updated, err)
+	}
+	if got := mWatchPublished.Value() - before; got != 2 {
+		t.Fatalf("aero.watch.published moved by %d for 2 appended versions", got)
+	}
+}
+
+// provenanceDown is a Metadata whose provenance writes always fail.
+type provenanceDown struct{ Metadata }
+
+func (provenanceDown) AddProvenance(ProvenanceEdge) error { return errProvenanceDown }
+
+var errProvenanceDown = errors.New("provenance backend down")
+
+func TestMetaWriteErrorsCountedNotFatal(t *testing.T) {
+	rig := newRig(t, provenanceDown{NewStore()})
+	p := rig.platform
+	flow := identityIngestion(t, rig, "prov-feed")
+	an, _ := rig.compute.RegisterFunction(rig.token.ID, "an", func(ctx context.Context, payload []byte) ([]byte, error) {
+		return EncodeOutputs(map[string][]byte{"o": []byte("y")})
+	})
+	analysis, err := p.RegisterAnalysis(AnalysisSpec{
+		Name: "prov-analysis", InputUUIDs: []string{flow.OutputUUID}, Policy: TriggerAny,
+		Compute: rig.compute, AnalyzeID: an, OutputNames: []string{"o"},
+		Storage: StorageTarget{Endpoint: rig.endpoint, Collection: "osprey"},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := mFlowMetaErrors.Value()
+	if updated, err := flow.Poll(); err != nil || !updated {
+		t.Fatalf("poll = %v, %v", updated, err)
+	}
+	p.WaitIdle()
+	// One failed edge from the ingestion, one from the analysis's input.
+	if got := mFlowMetaErrors.Value() - before; got != 2 {
+		t.Fatalf("aero.flow.meta_errors moved by %d, want 2", got)
+	}
+	kinds := map[string]int{}
+	for _, e := range p.Events() {
+		kinds[e.Kind]++
+		if e.Kind == "meta.error" && !strings.Contains(e.Detail, errProvenanceDown.Error()) {
+			t.Fatalf("meta.error event detail %q", e.Detail)
 		}
-	case <-time.After(time.Second):
-		t.Fatal("ingestion did not notify the subscriber")
+	}
+	if kinds["meta.error"] != 2 || kinds["ingest.update"] != 1 || kinds["analysis.run"] != 1 {
+		t.Fatalf("event log wrong: %v", kinds)
+	}
+	// The runs still completed: both outputs are versioned.
+	for _, uuid := range []string{flow.OutputUUID, analysis.OutputUUIDs[0]} {
+		if rec, err := p.Meta.GetData(uuid); err != nil || len(rec.Versions) != 1 {
+			t.Fatalf("output %s: %+v, %v", uuid, rec, err)
+		}
 	}
 }
 

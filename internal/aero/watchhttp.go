@@ -10,18 +10,17 @@ import (
 )
 
 // Streaming watch over HTTP: GET /watch delivers DataUpdate events for
-// the request's tenant namespace, as a Server-Sent Events stream when the
-// client accepts text/event-stream, or as a long-poll batch otherwise.
+// the request's tenant namespace as a Server-Sent Events stream. The
+// request must accept text/event-stream; any other Accept gets 406.
 //
 // Query parameters:
 //
 //	uuid=     watch one identity (default: the whole namespace)
-//	buffer=   per-subscriber queue bound (default 64; drop-oldest past it)
-//	timeout=  long-poll wait / SSE keep-alive interval (default 30s, cap 5m)
-//	sub=      long-poll session ID: reuse one server-side subscription
-//	          across polls so no event between polls is lost
+//	buffer=   per-subscriber queue bound (default 64, cap 4096;
+//	          drop-oldest past it)
+//	timeout=  keep-alive interval (default 30s, cap 5m)
 //
-// SSE frames:
+// Frames:
 //
 //	event: ready              sent once, before any update — subscribers
 //	data: {"dropped":0}       that need every event wait for it before
@@ -32,16 +31,12 @@ import (
 // where dropped is the subscription's cumulative drop-oldest count — the
 // honest record of what a slow consumer missed.
 
-// watchDefaultBuffer bounds a subscriber queue when buffer= is absent.
-const watchDefaultBuffer = 64
-
-// watchSessionTTL reclaims a long-poll session no poll has touched.
-const watchSessionTTL = 2 * time.Minute
-
-type watchSession struct {
-	sub      *Subscription
-	lastPoll time.Time
-}
+// Bounds of a subscriber queue: the default when buffer= is absent, and
+// the cap that keeps one slow reader from holding unbounded server memory.
+const (
+	watchDefaultBuffer = 64
+	watchMaxBuffer     = 4096
+)
 
 // sseUpdate is the wire form of one update event.
 type sseUpdate struct {
@@ -57,26 +52,20 @@ func (s *Server) handleWatch(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
 		return
 	}
-	q := r.URL.Query()
-	uuid := q.Get("uuid")
-	buffer := watchDefaultBuffer
-	if b, err := strconv.Atoi(q.Get("buffer")); err == nil && b > 0 {
-		buffer = b
-	}
-	timeout := 30 * time.Second
-	if d, err := time.ParseDuration(q.Get("timeout")); err == nil && d > 0 {
-		timeout = d
-	}
-	if timeout > 5*time.Minute {
-		timeout = 5 * time.Minute
-	}
-	tenant := tenantFrom(r)
-
-	if strings.Contains(r.Header.Get("Accept"), "text/event-stream") {
-		s.watchSSE(w, r, tenant, uuid, buffer, timeout)
+	if !strings.Contains(r.Header.Get("Accept"), "text/event-stream") {
+		http.Error(w, "aero: /watch is a text/event-stream endpoint", http.StatusNotAcceptable)
 		return
 	}
-	s.watchPoll(w, r, tenant, uuid, buffer, timeout, q.Get("sub"))
+	q := r.URL.Query()
+	buffer := watchDefaultBuffer
+	if b, err := strconv.Atoi(q.Get("buffer")); err == nil && b > 0 {
+		buffer = min(b, watchMaxBuffer)
+	}
+	keepAlive := 30 * time.Second
+	if d, err := time.ParseDuration(q.Get("timeout")); err == nil && d > 0 {
+		keepAlive = min(d, 5*time.Minute)
+	}
+	s.watchSSE(w, r, tenantFrom(r), q.Get("uuid"), buffer, keepAlive)
 }
 
 // watchSSE streams updates until the client disconnects. The subscription
@@ -134,59 +123,4 @@ func (s *Server) watchSSE(w http.ResponseWriter, r *http.Request, tenant, uuid s
 		}
 		flusher.Flush()
 	}
-}
-
-// watchPoll is the long-poll fallback: wait up to timeout for events and
-// return them as one JSON batch. With sub= the subscription persists
-// server-side between polls (events between polls queue, bounded,
-// drop-oldest); without it the subscription lives for this poll only.
-func (s *Server) watchPoll(w http.ResponseWriter, r *http.Request, tenant, uuid string, buffer int, timeout time.Duration, sessID string) {
-	var sub *Subscription
-	if sessID != "" {
-		var err error
-		if sub, err = s.watchSessionSub(tenant, uuid, buffer, sessID); err != nil {
-			writeErr(w, err)
-			return
-		}
-	} else {
-		var err error
-		if sub, err = s.store.SubscribeUpdates(tenant, uuid, buffer); err != nil {
-			writeErr(w, err)
-			return
-		}
-		defer sub.Cancel()
-	}
-	events, dropped, _ := sub.Next(timeout)
-	if events == nil {
-		events = []DataUpdate{}
-	}
-	writeJSON(w, http.StatusOK, struct {
-		Events  []DataUpdate `json:"events"`
-		Dropped int64        `json:"dropped"`
-	}{events, dropped})
-}
-
-// watchSessionSub finds or creates the persistent subscription behind a
-// long-poll session, expiring idle sessions as a side effect.
-func (s *Server) watchSessionSub(tenant, uuid string, buffer int, sessID string) (*Subscription, error) {
-	key := tenant + "\x00" + sessID
-	now := time.Now()
-	s.sessMu.Lock()
-	defer s.sessMu.Unlock()
-	for k, sess := range s.sessions {
-		if now.Sub(sess.lastPoll) > watchSessionTTL {
-			sess.sub.Cancel()
-			delete(s.sessions, k)
-		}
-	}
-	if sess, ok := s.sessions[key]; ok {
-		sess.lastPoll = now
-		return sess.sub, nil
-	}
-	sub, err := s.store.SubscribeUpdates(tenant, uuid, buffer)
-	if err != nil {
-		return nil, err
-	}
-	s.sessions[key] = &watchSession{sub: sub, lastPoll: now}
-	return sub, nil
 }
