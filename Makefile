@@ -107,9 +107,10 @@ soak:
 # Sharded soak (the CI soak-shard job): two same-seed runs over a 3-shard
 # replicated group through the shard-failover schedule — two primary kills
 # with follower promotion, plus the network and pool faults — asserting
-# the same 11 invariants, the cross-shard WAL audit, and identical
-# workload digests. The JSON run report lands in SOAK_shard_report.json;
-# a digest mismatch or invariant violation exits non-zero.
+# the same 15 invariants (the 4 tenant ones skipped), the cross-shard WAL
+# audit, and identical workload digests. The JSON run report lands in
+# SOAK_shard_report.json; a digest mismatch or invariant violation exits
+# non-zero.
 soak-shard:
 	$(GO) run ./cmd/osprey-loadgen -seed 73 -duration 30s -rate 150 -workers 8 -shards 3 -faults shard-failover -runs 2 -out SOAK_shard_report.json
 
@@ -163,11 +164,13 @@ bench-compare:
 	$(GO) test -bench=. -benchmem -run '^$$' . | $(GO) run ./cmd/benchjson -out BENCH_fresh.json
 	$(GO) run ./cmd/benchjson -compare BENCH_baseline.json BENCH_fresh.json -tolerance 0.15 -diff-out bench-diff.json
 
-# Short coverage-guided fuzz of the WAL record decoder and the emews
-# binary wire-frame decoder (nightly job).
+# Short coverage-guided fuzz of the WAL record decoder, the emews
+# binary wire-frame decoder and the loadgen fault DSL (nightly job). The
+# loadgen line runs only its fuzz target, not the package's soak tests.
 fuzz-smoke:
 	$(GO) test -fuzz=FuzzParseRecord -fuzztime=30s ./internal/wal/
 	$(GO) test -fuzz=FuzzDecodeFrame -fuzztime=30s ./internal/emews/
+	$(GO) test -run FuzzParseFaults -fuzz=FuzzParseFaults -fuzztime=30s ./internal/loadgen/
 
 # Regenerate every paper table/figure into out/ (see EXPERIMENTS.md).
 figures:

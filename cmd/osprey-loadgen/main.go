@@ -6,15 +6,16 @@
 //	osprey-loadgen -shards 3 -faults shard-failover -runs 2 -out report.json
 //	osprey-loadgen -tenants 3 -faults tenant -runs 2 -out report.json
 //
-// With -shards N >= 2 the single task stack is replaced by an N-shard
-// replicated group (one WAL-backed primary plus a warm follower per
-// shard) and the "shard-failover" schedule kills primaries mid-run,
-// promoting their followers. With -tenants N >= 1 the AERO side runs
-// multi-tenant: bearer-token auth, per-tenant quotas with one noisy
-// neighbor, private streams, live isolation probes, and a streaming
-// watch subscription per tenant. With -runs N > 1 the harness runs N
-// times with the same seed and the
-// workload digests must match across runs — the determinism contract.
+// The task substrate is a group of -shards N WAL-backed members, each
+// behind its own chaos proxy. One member (the default) is the single
+// daemon stack, which the crash faults reboot in place. With N >= 2 each
+// member also gets a warm follower, and the "shard-failover" schedule
+// kills primaries mid-run, promoting their followers. With -tenants N >= 1
+// the AERO side runs multi-tenant: bearer-token auth, per-tenant quotas
+// with one noisy neighbor, private streams, live isolation probes, and a
+// streaming watch subscription per tenant. With -runs N > 1 the harness
+// runs N times with the same seed and the workload digests must match
+// across runs — the determinism contract.
 // Exit codes: 0 all runs passed, 1 an invariant failed or determinism
 // broke, 2 usage or infrastructure error.
 package main
@@ -40,11 +41,9 @@ func run() int {
 		rate     = fs.Float64("rate", 100, "task submissions per second")
 		workers  = fs.Int("workers", 6, "worker goroutines")
 		closed   = fs.Bool("closed", false, "closed-loop pacing (in-flight window instead of wall clock)")
-		popBatch = fs.Int("pop-batch", 4, "tasks leased per worker round trip (1 = single-op wire path)")
 		window   = fs.Int("window", 0, "closed-loop in-flight cap (default 2x workers)")
 		ingest   = fs.Float64("ingest-rate", 10, "AERO data-version ingests per second, per tenant in tenant mode (<0 disables)")
 		shards   = fs.Int("shards", 1, "task-substrate shards (>= 2 runs a replicated shard group with warm followers)")
-		pinned   = fs.Bool("pinned-ports", false, "rebind fixed ports across in-run reboots (default: fresh ephemeral ports)")
 		tenants  = fs.Int("tenants", 0, "multi-tenant AERO mode: tenants with bearer tokens, per-tenant quotas, private streams, streaming watches (0 = legacy single-tenant)")
 		noisyF   = fs.Float64("noisy-factor", 3, "noisy tenant's ingest-rate multiplier (tenant mode)")
 		quota    = fs.Float64("tenant-quota", 0, "per-tenant ingest quota in req/s (default 2x ingest-rate)")
@@ -72,10 +71,8 @@ func run() int {
 		Workers:     *workers,
 		Closed:      *closed,
 		Window:      *window,
-		PopBatch:    *popBatch,
 		IngestRate:  *ingest,
 		Shards:      *shards,
-		PinnedPorts: *pinned,
 		Tenants:     *tenants,
 		NoisyFactor: *noisyF,
 		TenantQuota: *quota,

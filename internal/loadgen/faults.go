@@ -79,8 +79,32 @@ const (
 	defaultPoolRestart   = 200 * time.Millisecond
 )
 
+// faultArity is the most arguments each fault kind takes; omitted
+// arguments take the kind's default.
+var faultArity = map[FaultKind]int{
+	FaultKill:          0,
+	FaultCrash:         0,
+	FaultTornCrash:     0,
+	FaultRefuse:        1,
+	FaultPoolCrash:     1,
+	FaultShardFailover: 1,
+	FaultLatency:       2,
+}
+
+// parseDuration parses a DSL offset or window: a Go duration, never
+// negative.
+func parseDuration(s string) (time.Duration, error) {
+	d, err := time.ParseDuration(s)
+	if err == nil && d < 0 {
+		err = fmt.Errorf("negative duration %q", s)
+	}
+	return d, err
+}
+
 // ParseFaults parses the fault-schedule DSL: semicolon-separated
-// AT:KIND[:ARG[:ARG2]] entries, where AT and the args are Go durations.
+// AT:KIND[:ARG[:ARG2]] entries, where AT and the args are non-negative Go
+// durations (the shard-failover argument is a shard index). Each kind
+// takes at most its own number of arguments.
 //
 //	5s:kill                  kill active connections at t=5s
 //	8s:refuse:1s             refuse new connections from t=8s for 1s
@@ -108,22 +132,25 @@ func ParseFaults(s string) ([]FaultEvent, error) {
 		if len(parts) < 2 {
 			return nil, fmt.Errorf("loadgen: fault %q: want AT:KIND[:ARG[:ARG2]]", entry)
 		}
-		at, err := time.ParseDuration(parts[0])
+		at, err := parseDuration(parts[0])
 		if err != nil {
 			return nil, fmt.Errorf("loadgen: fault %q: bad offset: %v", entry, err)
 		}
 		ev := FaultEvent{At: at, Kind: FaultKind(parts[1])}
+		arity, known := faultArity[ev.Kind]
+		if !known {
+			return nil, fmt.Errorf("loadgen: fault %q: unknown kind %q", entry, parts[1])
+		}
+		if len(parts)-2 > arity {
+			return nil, fmt.Errorf("loadgen: fault %q: %s takes at most %d argument(s)", entry, ev.Kind, arity)
+		}
 		arg := func(i int, def time.Duration) (time.Duration, error) {
 			if len(parts) <= i {
 				return def, nil
 			}
-			return time.ParseDuration(parts[i])
+			return parseDuration(parts[i])
 		}
 		switch ev.Kind {
-		case FaultKill, FaultCrash, FaultTornCrash:
-			if len(parts) > 2 {
-				return nil, fmt.Errorf("loadgen: fault %q: %s takes no arguments", entry, ev.Kind)
-			}
 		case FaultRefuse:
 			if ev.Value, err = arg(2, defaultRefuseWindow); err != nil {
 				return nil, fmt.Errorf("loadgen: fault %q: bad window: %v", entry, err)
@@ -140,9 +167,6 @@ func ParseFaults(s string) ([]FaultEvent, error) {
 				return nil, fmt.Errorf("loadgen: fault %q: bad restart delay: %v", entry, err)
 			}
 		case FaultShardFailover:
-			if len(parts) > 3 {
-				return nil, fmt.Errorf("loadgen: fault %q: want AT:shard-failover[:SHARD]", entry)
-			}
 			if len(parts) == 3 {
 				n, cerr := strconv.Atoi(parts[2])
 				if cerr != nil || n < 0 {
@@ -150,8 +174,6 @@ func ParseFaults(s string) ([]FaultEvent, error) {
 				}
 				ev.Shard = n
 			}
-		default:
-			return nil, fmt.Errorf("loadgen: fault %q: unknown kind %q", entry, parts[1])
 		}
 		events = append(events, ev)
 	}

@@ -20,7 +20,6 @@ import (
 	"time"
 
 	"osprey/internal/aero"
-	"osprey/internal/chaos"
 	"osprey/internal/emews"
 	"osprey/internal/globus"
 	"osprey/internal/obs"
@@ -39,24 +38,16 @@ type Config struct {
 	Closed   bool          // closed-loop: pace submits by in-flight cap, not wall clock
 	Window   int           // closed-loop in-flight cap; default 2×Workers
 
-	// Shards selects the task-substrate topology: <=1 runs the single
-	// stack, >=2 runs a shard group (consistent-hash routed submits,
-	// strided IDs, one warm follower per shard) behind per-shard chaos
-	// proxies. Crash faults need the single stack; shard-failover needs a
-	// group — Run rejects mismatched schedules.
+	// Shards sizes the task substrate: a group of max(Shards, 1) members,
+	// each behind its own chaos proxy. One member is the single daemon
+	// stack; two or more add consistent-hash routed submits, strided IDs
+	// and one warm follower per member. Crash faults need one member;
+	// shard-failover needs two or more — Run rejects mismatched schedules.
 	Shards int
-
-	// PinnedPorts makes crash reboots rebind the listen ports of the first
-	// boot instead of taking fresh ephemeral ones. The harness re-resolves
-	// addresses after every reboot, so pinning is never required; it only
-	// recreates a fixed-address deployment, and on a busy host the rebind
-	// can race another process claiming the freed port.
-	PinnedPorts bool
 
 	TaskTypes []string      // task-type mix; workers are assigned round-robin
 	FailFrac  float64       // fraction of tasks that fail at least once (<0 disables)
 	WorkMean  time.Duration // mean simulated model work per attempt
-	PopBatch  int           // tasks leased per worker round trip; 1 = single-op path
 
 	IngestRate    float64 // AERO data-version ingests per second, per tenant in tenant mode (<0 disables)
 	IngestStreams int     // data items the ingests round-robin over (per tenant in tenant mode)
@@ -115,9 +106,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.WorkMean <= 0 {
 		c.WorkMean = 2 * time.Millisecond
-	}
-	if c.PopBatch <= 0 {
-		c.PopBatch = 4
 	}
 	if c.IngestRate == 0 {
 		c.IngestRate = 5
@@ -193,35 +181,30 @@ func (tr *tracker) resolved(id, epoch int64, kind string, err error) {
 }
 
 // harness owns the full service stack for one run. The mutable service
-// handles (db, store, servers, logs) are swapped atomically under mu by
-// crash/boot (single stack) or failover (shard group); everything else is
-// fixed for the run.
+// handles (the members' DBs and servers, the store, the HTTP server, the
+// logs) are swapped under mu by the fault runner — crash reboots the
+// stack in place, failover replaces one member; everything else is fixed
+// for the run.
 type harness struct {
 	cfg     Config
 	plan    []PlanEvent
 	start   time.Time
 	tracker *tracker
-	proxy   *chaos.Proxy  // single-stack chaos proxy; nil in sharded runs
-	shards  []*shardState // shard group; nil in single-stack runs
+	shards  []*shardState // the task substrate: max(cfg.Shards, 1) members
 
 	dirTasks, dirAero string
 
 	mu       sync.Mutex
-	db       *emews.DB
 	store    *aero.Store
-	logTasks *wal.Log
 	logAero  *wal.Log
-	taskSrv  *emews.Server
 	httpSrv  *http.Server
-	reapStop context.CancelFunc
 	pool     *pool
-	taskAddr string // re-resolved after every boot (fixed only with PinnedPorts)
-	httpAddr string
+	httpAddr string // re-resolved after every boot
 
 	streams map[string]string // stream name -> data UUID (durable across crashes)
 
-	// Tenant mode (cfg.Tenants > 0): bearer credentials, per-tenant
-	// counters, and the run-long streaming watch subscriptions.
+	// Tenant mode (cfg.Tenants > 0): bearer credentials, per-tenant counters, and the
+	// run-long streaming watch subscriptions.
 	auth         *globus.Auth
 	tokens       map[string]string // tenant name -> bearer token ID
 	streamTenant map[string]string // stream name -> owning tenant ("" legacy)
@@ -269,9 +252,6 @@ func (h *harness) tenantStatFor(tenant string) *tenantStat {
 }
 
 func (h *harness) tenantAdmitted(tenant string) {
-	if h.cfg.Tenants == 0 {
-		return
-	}
 	h.tmu.Lock()
 	s := h.tenantStatFor(tenant)
 	s.admitted++
@@ -280,9 +260,6 @@ func (h *harness) tenantAdmitted(tenant string) {
 }
 
 func (h *harness) tenantThrottled(tenant string) {
-	if h.cfg.Tenants == 0 {
-		return
-	}
 	h.tmu.Lock()
 	h.tenantStatFor(tenant).throttled++
 	h.tmu.Unlock()
@@ -303,12 +280,6 @@ func (h *harness) fatalErr() error {
 	return nil
 }
 
-func (h *harness) currentDB() *emews.DB {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.db
-}
-
 func (h *harness) currentStore() *aero.Store {
 	h.mu.Lock()
 	defer h.mu.Unlock()
@@ -321,68 +292,17 @@ func (h *harness) currentHTTPAddr() string {
 	return h.httpAddr
 }
 
-func (h *harness) currentTaskAddr() string {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.taskAddr
-}
-
-// boot (re)starts the single-stack daemon side from the data directories:
-// WAL-recovered task DB with lease reaper plus TCP server, WAL-recovered
-// metadata store plus HTTP metadata/metrics server. Listen ports are
-// ephemeral on every boot — clients re-resolve through the proxy and the
-// current*Addr accessors — unless PinnedPorts asks crash reboots to
-// rebind the first boot's ports.
+// boot starts the whole stack from the data directories: every task
+// member (see bootMember), then the WAL-recovered metadata store behind
+// the HTTP metadata/metrics server. The first boot and every crash
+// reboot take this one path.
 func (h *harness) boot() error {
-	if err := h.bootTasks(); err != nil {
-		return err
-	}
-	if err := h.bootAero(); err != nil {
-		h.mu.Lock()
-		taskSrv, logTasks, reapStop := h.taskSrv, h.logTasks, h.reapStop
-		h.mu.Unlock()
-		reapStop()
-		taskSrv.Close()
-		logTasks.Close()
-		return err
-	}
-	return nil
-}
-
-func (h *harness) bootTasks() error {
-	logTasks, err := wal.Open(h.dirTasks, wal.Options{Name: "wal.loadgen.tasks", Logf: h.cfg.Logf})
-	if err != nil {
-		return fmt.Errorf("loadgen: open task WAL: %w", err)
-	}
-	db, err := emews.OpenDB(logTasks)
-	if err != nil {
-		logTasks.Close()
-		return fmt.Errorf("loadgen: recover task DB: %w", err)
-	}
-	db.SetLeaseTimeout(5 * time.Second)
-	taskSrv, err := listenRetry(func() (*emews.Server, error) {
-		addr := "127.0.0.1:0"
-		if h.cfg.PinnedPorts && h.taskAddr != "" {
-			addr = h.taskAddr
+	for i := range h.shards {
+		if err := h.bootMember(i); err != nil {
+			return err
 		}
-		return emews.Serve(db, addr)
-	})
-	if err != nil {
-		logTasks.Close()
-		return fmt.Errorf("loadgen: task server: %w", err)
 	}
-	reapCtx, reapStop := context.WithCancel(context.Background())
-	db.StartReaper(reapCtx, 500*time.Millisecond)
-
-	h.mu.Lock()
-	h.db, h.logTasks = db, logTasks
-	h.taskSrv, h.reapStop = taskSrv, reapStop
-	h.taskAddr = taskSrv.Addr()
-	h.mu.Unlock()
-	if h.proxy != nil {
-		h.proxy.SetBackend(taskSrv.Addr())
-	}
-	return nil
+	return h.bootAero()
 }
 
 func (h *harness) bootAero() error {
@@ -395,13 +315,7 @@ func (h *harness) bootAero() error {
 		logAero.Close()
 		return fmt.Errorf("loadgen: recover metadata store: %w", err)
 	}
-	ln, err := listenRetry(func() (net.Listener, error) {
-		addr := "127.0.0.1:0"
-		if h.cfg.PinnedPorts && h.httpAddr != "" {
-			addr = h.httpAddr
-		}
-		return net.Listen("tcp", addr)
-	})
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		logAero.Close()
 		return fmt.Errorf("loadgen: http listener: %w", err)
@@ -424,47 +338,45 @@ func (h *harness) bootAero() error {
 	return nil
 }
 
-// listenRetry retries a bind briefly: with PinnedPorts a rebooted daemon
-// can race the previous listener's socket teardown on the pinned port
-// (ephemeral binds succeed on the first try).
-func listenRetry[T any](bind func() (T, error)) (T, error) {
-	var last error
-	for attempt := 0; attempt < 40; attempt++ {
-		v, err := bind()
-		if err == nil {
-			return v, nil
-		}
-		last = err
-		time.Sleep(25 * time.Millisecond)
+// closeStack tears the stack down gracefully — the task group, then the
+// metadata server and its log — and returns the first log-close error.
+// Safe on a partially booted stack.
+func (h *harness) closeStack() error {
+	err := h.closeShards()
+	if h.httpSrv != nil {
+		h.httpSrv.Close()
 	}
-	var zero T
-	return zero, last
+	if h.logAero != nil {
+		if cerr := h.logAero.Close(); err == nil {
+			err = cerr
+		}
+	}
+	return err
 }
 
 // crash simulates a daemon SIGKILL: the WAL handles are closed first —
 // so, as in a real kill, nothing that happens during teardown (like the
 // task server failing unresolved claims of dying connections) reaches the
-// durable log — then the listeners are torn down, optionally the task
-// WAL's tail is chopped, and the whole stack is rebooted from disk (on
-// fresh ephemeral ports, or the same ports with PinnedPorts). db.Close
-// and Compact are never run: recovery starts from raw log replay.
+// durable log — then the listeners are torn down, optionally each
+// member's task WAL tail is chopped, and the whole stack is rebooted from
+// disk on fresh ephemeral ports. db.Close and Compact are never run:
+// recovery starts from raw log replay. validateFaults keeps crashes to
+// one-member groups, which have no follower to restart.
 func (h *harness) crash(torn bool) error {
-	h.mu.Lock()
-	taskSrv, httpSrv := h.taskSrv, h.httpSrv
-	logTasks, logAero := h.logTasks, h.logAero
-	reapStop := h.reapStop
-	h.mu.Unlock()
-
-	reapStop()
-	logTasks.Close()
-	logAero.Close()
-	if torn {
-		if err := tearTail(h.dirTasks, 41); err != nil {
-			return fmt.Errorf("loadgen: tear WAL tail: %w", err)
-		}
+	for _, s := range h.shards {
+		s.reapStop()
+		s.log.Close()
 	}
-	taskSrv.Close()
-	httpSrv.Close()
+	h.logAero.Close()
+	for _, s := range h.shards {
+		if torn {
+			if err := tearTail(s.dir, 41); err != nil {
+				return fmt.Errorf("loadgen: tear WAL tail: %w", err)
+			}
+		}
+		s.srv.Close()
+	}
+	h.httpSrv.Close()
 
 	h.faultMu.Lock()
 	h.crashes++
@@ -496,49 +408,6 @@ func tearTail(dir string, n int64) error {
 		size = 0
 	}
 	return os.Truncate(last, size)
-}
-
-// taskConn is the client surface the harness drives tasks through. Both
-// *emews.Client (single stack) and *emews.ShardedClient (routing layer
-// over a shard group) satisfy it, so the workers and drivers are
-// topology-blind.
-type taskConn interface {
-	SubmitRetry(taskType string, priority int, payload string, maxAttempts int) (int64, error)
-	Pop(taskType string, timeout time.Duration) (emews.RemoteTask, bool, error)
-	PopBatch(taskType string, max int, timeout time.Duration) ([]emews.RemoteTask, error)
-	FinishBatch(ops []emews.FinishOp) ([]error, error)
-	Complete(taskID, epoch int64, result string) error
-	Fail(taskID, epoch int64, errMsg string) error
-	Close() error
-}
-
-// dialOpts is the retry/backoff profile every harness client uses.
-func dialOpts() []emews.ClientOption {
-	return []emews.ClientOption{
-		emews.WithOpTimeout(3 * time.Second),
-		emews.WithBackoff(5*time.Millisecond, 100*time.Millisecond),
-		emews.WithRetries(2),
-	}
-}
-
-// dialWorker connects a pool worker: through the chaos proxy on the
-// single stack, through the per-shard proxies on a group.
-func (h *harness) dialWorker() (taskConn, error) {
-	if h.sharded() {
-		return emews.DialShardGroup(h.proxyAddrs(), dialOpts()...)
-	}
-	return emews.Dial(h.proxy.Addr(), dialOpts()...)
-}
-
-// dialDriver connects the ME-side submit driver: straight at the task
-// server on the single stack (the ME process and the daemon share a
-// node), through the per-shard proxies on a group — the stable names that
-// survive failover.
-func (h *harness) dialDriver() (taskConn, error) {
-	if h.sharded() {
-		return emews.DialShardGroup(h.proxyAddrs(), dialOpts()...)
-	}
-	return emews.Dial(h.currentTaskAddr(), dialOpts()...)
 }
 
 // pool is a crash-restartable set of worker goroutines popping tasks
@@ -590,9 +459,12 @@ func (p *pool) crash() {
 	p.wg.Wait()
 }
 
+// leaseSize is how many tasks a worker leases per round trip.
+const leaseSize = 4
+
 func (p *pool) worker(taskType string) {
 	defer p.wg.Done()
-	var cl taskConn
+	var cl *emews.ShardedClient
 	defer func() {
 		if cl != nil {
 			cl.Close()
@@ -614,7 +486,7 @@ func (p *pool) worker(taskType string) {
 	}
 	for p.ctx.Err() == nil {
 		if cl == nil {
-			c, err := p.h.dialWorker()
+			c, err := p.h.dial()
 			if err != nil {
 				if !pause(25 * time.Millisecond) {
 					return
@@ -623,18 +495,7 @@ func (p *pool) worker(taskType string) {
 			}
 			cl = c
 		}
-		var tasks []emews.RemoteTask
-		var err error
-		if p.h.cfg.PopBatch > 1 {
-			tasks, err = cl.PopBatch(taskType, p.h.cfg.PopBatch, 200*time.Millisecond)
-		} else {
-			var task emews.RemoteTask
-			var ok bool
-			task, ok, err = cl.Pop(taskType, 200*time.Millisecond)
-			if err == nil && ok {
-				tasks = []emews.RemoteTask{task}
-			}
-		}
+		tasks, err := cl.PopBatch(taskType, leaseSize, 200*time.Millisecond)
 		if err != nil {
 			drop()
 			if !pause(10 * time.Millisecond) {
@@ -647,8 +508,7 @@ func (p *pool) worker(taskType string) {
 		}
 		// The whole lease is observed up front: later invariants reason
 		// about pop order per task, and a task can appear at most once per
-		// lease, so recording at receipt preserves the epoch ordering the
-		// single-op path had.
+		// lease, so recording at receipt preserves each task's epoch order.
 		for _, task := range tasks {
 			p.h.tracker.popped(task.ID, task.Epoch)
 		}
@@ -676,37 +536,20 @@ func (p *pool) worker(taskType string) {
 				kinds = append(kinds, "complete")
 			}
 		}
-		var dropConn bool
-		if p.h.cfg.PopBatch > 1 {
-			errs, berr := cl.FinishBatch(fins)
-			if berr != nil {
-				// The exchange failed wholesale; every resolution is unknown
-				// and the server's connection cleanup requeues the claims.
-				for i, fin := range fins {
-					p.h.tracker.resolved(fin.TaskID, fin.Epoch, kinds[i], berr)
-				}
-				dropConn = errors.Is(berr, emews.ErrTransport)
-			} else {
-				for i, fin := range fins {
-					p.h.tracker.resolved(fin.TaskID, fin.Epoch, kinds[i], errs[i])
-				}
-			}
-		} else {
+		errs, berr := cl.FinishBatch(fins)
+		if berr != nil {
+			// The exchange failed wholesale; every resolution is unknown
+			// and the server's connection cleanup requeues the claims.
 			for i, fin := range fins {
-				var rerr error
-				if fin.Failed {
-					rerr = cl.Fail(fin.TaskID, fin.Epoch, fin.ErrMsg)
-				} else {
-					rerr = cl.Complete(fin.TaskID, fin.Epoch, fin.Result)
-				}
-				p.h.tracker.resolved(fin.TaskID, fin.Epoch, kinds[i], rerr)
-				if rerr != nil && errors.Is(rerr, emews.ErrTransport) {
-					dropConn = true
-				}
+				p.h.tracker.resolved(fin.TaskID, fin.Epoch, kinds[i], berr)
 			}
+			if errors.Is(berr, emews.ErrTransport) {
+				drop()
+			}
+			continue
 		}
-		if dropConn {
-			drop()
+		for i, fin := range fins {
+			p.h.tracker.resolved(fin.TaskID, fin.Epoch, kinds[i], errs[i])
 		}
 	}
 }
@@ -718,7 +561,7 @@ func (p *pool) worker(taskType string) {
 // event lands exactly once (at-least-once send + presence check on the
 // ambiguous error paths).
 func (h *harness) submitDriver() {
-	var cl taskConn
+	var cl *emews.ShardedClient
 	defer func() {
 		if cl != nil {
 			cl.Close()
@@ -751,7 +594,7 @@ func (h *harness) submitDriver() {
 // the task may or may not have been applied, so the driver checks the
 // live ledger for the event's plan index before re-sending. The returned
 // client replaces the caller's (it may have been redialed or dropped).
-func (h *harness) ensureSubmitted(cl taskConn, ev *PlanEvent) taskConn {
+func (h *harness) ensureSubmitted(cl *emews.ShardedClient, ev *PlanEvent) *emews.ShardedClient {
 	for attempt := 0; ; attempt++ {
 		if h.fatalErr() != nil {
 			return cl
@@ -764,7 +607,7 @@ func (h *harness) ensureSubmitted(cl taskConn, ev *PlanEvent) taskConn {
 			time.Sleep(20 * time.Millisecond)
 		}
 		if cl == nil {
-			c, err := h.dialDriver()
+			c, err := h.dial()
 			if err != nil {
 				continue
 			}
@@ -795,9 +638,9 @@ func (h *harness) tasksByPlanIndex() map[int][]int64 {
 // ingestDriver walks one tenant's slice of the ingest plan ("" = the
 // whole plan in single-tenant mode), appending data versions over the
 // real HTTP API with presence-check reconciliation (a version whose POST
-// response was lost must not be appended twice). Tenant mode runs one
-// driver per tenant so a throttled noisy neighbor backing off on 429s
-// never head-of-line-blocks its well-behaved neighbors' pacing.
+// response was lost must not be appended twice). Each tenant gets its own
+// driver so a throttled noisy neighbor backing off on 429s never
+// head-of-line-blocks its well-behaved neighbors' pacing.
 func (h *harness) ingestDriver(tenant string) {
 	hc := &http.Client{Timeout: 5 * time.Second}
 	for i := range h.plan {
@@ -1177,7 +1020,7 @@ func (h *harness) faultRunner() {
 // reconciliation.
 func (h *harness) sweepSubmits() {
 	present := h.tasksByPlanIndex()
-	var cl taskConn
+	var cl *emews.ShardedClient
 	for i := range h.plan {
 		ev := &h.plan[i]
 		if ev.Kind != EventSubmit {
@@ -1266,103 +1109,82 @@ func Run(cfg Config) (*Report, error) {
 			return nil, err
 		}
 	}
+	for i := 0; i < cfg.Shards; i++ {
+		dir := shardDir(h.dirTasks, i)
+		h.shards = append(h.shards, &shardState{idx: i, dirPrimary: dir, dirFollower: dir + "-replica", dir: dir})
+	}
+	// The owners of the ingest plan: one tenant per issued bearer token,
+	// or the single unauthenticated owner "".
+	tenants := []string{""}
 	if cfg.Tenants > 0 {
 		// One bearer token per tenant, minted before the metadata server
 		// boots so bootAero can wire the validator in.
 		h.auth = globus.NewAuth()
+		tenants = nil
 		for t := 0; t < cfg.Tenants; t++ {
 			name := TenantName(t)
 			h.tokens[name] = h.auth.Issue(name, 0, globus.ScopeAero).ID
+			tenants = append(tenants, name)
 		}
 	}
 
 	preObs := obs.Default().Snapshot()
-	if cfg.Shards > 1 {
-		if err := h.bootAero(); err != nil {
-			return nil, err
-		}
-		if err := h.bootShards(); err != nil {
-			h.httpSrv.Close()
-			h.logAero.Close()
-			return nil, err
-		}
-		defer func() {
-			for _, p := range h.proxies() {
-				p.Close()
-			}
-		}()
-	} else {
-		if err := h.boot(); err != nil {
-			return nil, err
-		}
-		proxy, err := chaos.NewProxy(h.taskAddr)
-		if err != nil {
-			return nil, err
-		}
-		h.proxy = proxy
-		defer proxy.Close()
+	// One teardown for every return below, a partial boot included; the
+	// graceful path calls it early to audit the closed logs.
+	teardown := sync.OnceValue(h.closeStack)
+	defer teardown()
+	if err := h.boot(); err != nil {
+		return nil, err
 	}
-	if cfg.Tenants > 0 {
-		for t := 0; t < cfg.Tenants; t++ {
-			tn := TenantName(t)
-			for i := 0; i < cfg.IngestStreams; i++ {
-				name := TenantStreamName(t, i)
-				rec, err := h.currentStore().Tenant(tn).CreateData(name, "loadgen://"+name)
-				if err != nil {
-					return nil, err
-				}
-				h.streams[name] = rec.UUID
-				h.streamTenant[name] = tn
-			}
-		}
-		// Subscriptions must be committed (ready frame seen) before the
-		// first version is published, or early events would be misses
-		// rather than deliveries/drops and the accounting could not close.
-		for t := 0; t < cfg.Tenants; t++ {
-			w, err := h.startWatcher(TenantName(t))
-			if err != nil {
-				h.stopWatchers()
-				return nil, err
-			}
-			h.watchers = append(h.watchers, w)
-		}
-		defer h.stopWatchers()
-	} else {
+	for t, tn := range tenants {
 		for i := 0; i < cfg.IngestStreams; i++ {
 			name := StreamName(i)
-			rec, err := h.currentStore().CreateData(name, "loadgen://"+name)
+			if tn != "" {
+				name = TenantStreamName(t, i)
+			}
+			rec, err := h.currentStore().Tenant(tn).CreateData(name, "loadgen://"+name)
 			if err != nil {
 				return nil, err
 			}
 			h.streams[name] = rec.UUID
+			h.streamTenant[name] = tn
+		}
+	}
+	if cfg.Tenants > 0 {
+		// Subscriptions must be committed (ready frame seen) before the
+		// first version is published, or early events would be misses
+		// rather than deliveries/drops and the accounting could not close.
+		defer h.stopWatchers()
+		for _, tn := range tenants {
+			w, err := h.startWatcher(tn)
+			if err != nil {
+				return nil, err
+			}
+			h.watchers = append(h.watchers, w)
 		}
 	}
 
 	h.start = time.Now()
 	h.setPool(h.startPool())
 	scrapeCtx, stopScrape := context.WithCancel(context.Background())
+	defer stopScrape()
 	go h.scrapeLoop(scrapeCtx)
 
 	drivers := []func(){h.submitDriver, h.faultRunner}
+	for _, tn := range tenants {
+		drivers = append(drivers, func() { h.ingestDriver(tn) })
+	}
 	if cfg.Tenants > 0 {
-		for t := 0; t < cfg.Tenants; t++ {
-			tn := TenantName(t)
-			drivers = append(drivers, func() { h.ingestDriver(tn) })
-		}
 		drivers = append(drivers, h.probeDriver)
-	} else {
-		drivers = append(drivers, func() { h.ingestDriver("") })
 	}
 	var wg sync.WaitGroup
 	for _, f := range drivers {
-		f := f
 		wg.Add(1)
 		go func() { defer wg.Done(); f() }()
 	}
 	wg.Wait()
 
 	if err := h.fatalErr(); err != nil {
-		stopScrape()
 		h.currentPool().crash()
 		return nil, err
 	}
@@ -1396,39 +1218,15 @@ func Run(cfg Config) (*Report, error) {
 	}
 	postObs := obs.Default().Snapshot()
 
-	var audit *emews.WALAudit
-	var shAudit *emews.ShardsAudit
-	if h.sharded() {
-		if err := h.closeShards(); err != nil {
-			return nil, err
-		}
-		h.httpSrv.Close()
-		if err := h.logAero.Close(); err != nil {
-			return nil, err
-		}
-		sa, err := emews.AuditShards(h.auditDirs())
-		if err != nil {
-			return nil, err
-		}
-		shAudit, audit = sa, sa.Combined
-	} else {
-		h.reapStop()
-		h.taskSrv.Close()
-		h.httpSrv.Close()
-		if err := h.logTasks.Close(); err != nil {
-			return nil, err
-		}
-		if err := h.logAero.Close(); err != nil {
-			return nil, err
-		}
-		a, err := emews.AuditWAL(h.dirTasks)
-		if err != nil {
-			return nil, err
-		}
-		audit = a
+	if err := teardown(); err != nil {
+		return nil, err
+	}
+	audit, err := emews.AuditShards(h.auditDirs())
+	if err != nil {
+		return nil, err
 	}
 
-	report := h.buildReport(plan, dump, stats, streams, audit, shAudit, postObs.Delta(preObs), elapsed)
+	report := h.buildReport(plan, dump, stats, streams, audit, postObs.Delta(preObs), elapsed)
 	if ownDir {
 		if report.Pass {
 			os.RemoveAll(dataDir)

@@ -3,7 +3,9 @@ package loadgen
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 )
@@ -36,8 +38,44 @@ func TestPlanDeterministic(t *testing.T) {
 	}
 }
 
+// fullFaultSchedule uses every fault kind once; badFaultSchedules must
+// all be rejected. Both seed FuzzParseFaults.
+const fullFaultSchedule = "5s:kill; 8s:refuse:1s;12s:latency:50ms:2s; 15s:pool-crash:500ms;20s:crash;25s:torn-crash;30s:shard-failover:1"
+
+var badFaultSchedules = []string{"kill", "5s:explode", "x:kill", "5s:refuse:x", "5s:kill:1s",
+	"5s:shard-failover:x", "5s:shard-failover:-1", "5s:shard-failover:1:2",
+	"5s:refuse:1s:2s", "5s:latency:1ms:1s:7s", "5s:pool-crash:1s:2s",
+	"-1s:kill", "5s:refuse:-1s", "5s:latency:1ms:-2s", "5s:latency:-1ms", "5s:pool-crash:-1s"}
+
+// The plans of the three CI soak jobs are pinned: a digest move means
+// the same seed no longer replays the same workload. Each config mirrors
+// one Makefile line (targets soak, soak-shard and soak-tenant) plus the
+// osprey-loadgen flag defaults those lines rely on (-ingest-rate 10,
+// -noisy-factor 3).
+func TestCISoakPlanDigests(t *testing.T) {
+	base := Config{Duration: 30 * time.Second, Rate: 150, Workers: 8, IngestRate: 10, NoisyFactor: 3}
+	cases := []struct {
+		target string
+		seed   uint64
+		shards int
+		tenant int
+		digest string
+	}{
+		{"soak", 42, 1, 0, "f9868cceb49a"},
+		{"soak-shard", 73, 3, 0, "080c473dc77d"},
+		{"soak-tenant", 91, 1, 3, "d5a4e6cdaa25"},
+	}
+	for _, tc := range cases {
+		cfg := base
+		cfg.Seed, cfg.Shards, cfg.Tenants = tc.seed, tc.shards, tc.tenant
+		if got := PlanDigest(BuildPlan(cfg)); !strings.HasPrefix(got, tc.digest) {
+			t.Errorf("make %s: plan digest %s, want prefix %s", tc.target, got[:12], tc.digest)
+		}
+	}
+}
+
 func TestParseFaults(t *testing.T) {
-	evs, err := ParseFaults("5s:kill; 8s:refuse:1s;12s:latency:50ms:2s; 15s:pool-crash:500ms;20s:crash;25s:torn-crash;30s:shard-failover:1")
+	evs, err := ParseFaults(fullFaultSchedule)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,8 +103,7 @@ func TestParseFaults(t *testing.T) {
 	if evs[0].Value != defaultRefuseWindow || evs[1].Value != defaultLatency || evs[1].Dur != defaultLatencyWindow {
 		t.Fatalf("defaults not applied: %+v", evs)
 	}
-	for _, bad := range []string{"kill", "5s:explode", "x:kill", "5s:refuse:x", "5s:kill:1s",
-		"5s:shard-failover:x", "5s:shard-failover:-1", "5s:shard-failover:1:2"} {
+	for _, bad := range badFaultSchedules {
 		if _, err := ParseFaults(bad); err == nil {
 			t.Fatalf("ParseFaults(%q) did not fail", bad)
 		}
@@ -80,6 +117,32 @@ func TestParseFaults(t *testing.T) {
 	if evs, err := ParseFaultsFor("shard-failover", 10*time.Second); err != nil || len(evs) == 0 {
 		t.Fatalf("shard-failover schedule: %v %v", evs, err)
 	}
+}
+
+// Any schedule ParseFaults accepts must print, via FaultEvent.String, as
+// a schedule that parses back to the same events; no input may panic.
+func FuzzParseFaults(f *testing.F) {
+	for _, s := range append([]string{fullFaultSchedule, "1s:shard-failover", "1s:refuse;2s:latency", "none"},
+		badFaultSchedules...) {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, s string) {
+		evs, err := ParseFaults(s)
+		if err != nil {
+			return
+		}
+		printed := make([]string, len(evs))
+		for i, ev := range evs {
+			printed[i] = ev.String()
+		}
+		back, err := ParseFaults(strings.Join(printed, ";"))
+		if err != nil {
+			t.Fatalf("ParseFaults(%q) = %v, but its printed form %q fails: %v", s, evs, printed, err)
+		}
+		if !reflect.DeepEqual(back, evs) {
+			t.Fatalf("ParseFaults(%q) = %+v, reparsed %+v", s, evs, back)
+		}
+	})
 }
 
 // Fault schedules and topologies must agree before any stack is booted.
@@ -333,32 +396,39 @@ func TestTenantSoakDeterminism(t *testing.T) {
 }
 
 // A closed-loop run with no faults: the in-flight window caps the queue.
+// Pacing reads the occupancy summed over the group's members, so it runs
+// on one member and on two.
 func TestClosedLoopNoFaults(t *testing.T) {
 	if testing.Short() {
 		t.Skip("soak harness in -short mode")
 	}
-	cfg := Config{
-		Seed:        3,
-		Duration:    400 * time.Millisecond,
-		Rate:        100,
-		Workers:     4,
-		Closed:      true,
-		Window:      8,
-		IngestRate:  -1, // disabled
-		ScrapeEvery: 50 * time.Millisecond,
-		Logf:        t.Logf,
-	}
-	r, err := Run(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !r.Pass {
-		t.Fatalf("failed invariants: %v", r.FailedInvariants())
-	}
-	if r.Mode != "closed" {
-		t.Fatalf("mode = %q", r.Mode)
-	}
-	if r.Totals.PlanIngests != 0 {
-		t.Fatalf("ingests planned despite IngestRate<0: %d", r.Totals.PlanIngests)
+	for _, shards := range []int{1, 2} {
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
+			cfg := Config{
+				Seed:        3,
+				Duration:    400 * time.Millisecond,
+				Rate:        100,
+				Workers:     4,
+				Closed:      true,
+				Window:      8,
+				Shards:      shards,
+				IngestRate:  -1, // disabled
+				ScrapeEvery: 50 * time.Millisecond,
+				Logf:        t.Logf,
+			}
+			r, err := Run(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !r.Pass {
+				t.Fatalf("failed invariants: %v", r.FailedInvariants())
+			}
+			if r.Mode != "closed" {
+				t.Fatalf("mode = %q", r.Mode)
+			}
+			if r.Totals.PlanIngests != 0 {
+				t.Fatalf("ingests planned despite IngestRate<0: %d", r.Totals.PlanIngests)
+			}
+		})
 	}
 }

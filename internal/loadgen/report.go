@@ -75,7 +75,7 @@ type Report struct {
 	ElapsedSeconds  float64 `json:"elapsed_seconds"` // includes drain
 	Rate            float64 `json:"rate"`
 	Workers         int     `json:"workers"`
-	Shards          int     `json:"shards"`              // task-substrate shard count (1 = single stack)
+	Shards          int     `json:"shards"`              // task-substrate group size (1 = single stack)
 	Failovers       int     `json:"failovers,omitempty"` // shard primaries killed and replaced by promoted followers
 
 	Faults      []string       `json:"faults"`
@@ -100,11 +100,11 @@ type Report struct {
 	// latency quantiles re-derived from the window (see obs.Snapshot.Delta).
 	Obs obs.Snapshot `json:"obs"`
 
+	// WALAudit aliases ShardsAudit's Combined view: the one ledger the
+	// invariants and tooling read for every group size.
 	WALAudit *emews.WALAudit `json:"wal_audit"`
 
-	// ShardsAudit is the per-shard + cross-shard durable-history audit of
-	// a sharded run; WALAudit then aliases its Combined view so the
-	// invariants and tooling read one ledger either way.
+	// ShardsAudit is the per-member + cross-member durable-history audit.
 	ShardsAudit *emews.ShardsAudit `json:"shards_audit,omitempty"`
 
 	Invariants []Invariant `json:"invariants"`
@@ -133,7 +133,7 @@ func (r *Report) FailedInvariants() []string {
 }
 
 func (h *harness) buildReport(plan []PlanEvent, dump []emews.Task, stats emews.Stats,
-	streams map[string]*aero.DataRecord, audit *emews.WALAudit, shAudit *emews.ShardsAudit,
+	streams map[string]*aero.DataRecord, audit *emews.ShardsAudit,
 	delta obs.Snapshot, elapsed time.Duration) *Report {
 
 	r := &Report{
@@ -149,8 +149,8 @@ func (h *harness) buildReport(plan []PlanEvent, dump []emews.Task, stats emews.S
 		Workload:        Workload{Digest: PlanDigest(plan), Events: plan},
 		Proxy:           h.proxyStats(),
 		Obs:             delta,
-		WALAudit:        audit,
-		ShardsAudit:     shAudit,
+		WALAudit:        audit.Combined,
+		ShardsAudit:     audit,
 	}
 	if h.cfg.Closed {
 		r.Mode = "closed"
@@ -215,7 +215,7 @@ func (h *harness) buildReport(plan []PlanEvent, dump []emews.Task, stats emews.S
 		r.ProbeViolations = atomic.LoadInt64(&h.probeViolations)
 	}
 
-	r.Invariants = h.checkInvariants(plan, dump, stats, streams, audit)
+	r.Invariants = h.checkInvariants(plan, dump, stats, streams, audit.Combined)
 	r.Pass = true
 	for _, inv := range r.Invariants {
 		if !inv.OK {

@@ -1,13 +1,14 @@
 package loadgen
 
-// Sharded-topology support for the harness. A run with Config.Shards >= 2
-// replaces the single task stack with a shard group: per shard a
-// WAL-backed task DB carrying its shard identity, a TCP server, a chaos
-// proxy in front of it (the stable name clients dial across failover),
-// and a warm follower replicating the primary's WAL into a standby
-// directory. The shard-failover fault kills a primary mid-run and
-// promotes its follower; everything else — drivers, workers, invariants —
-// sees the group through the same taskConn surface as the single stack.
+// The harness's task substrate: a group of Config.Shards members (one by
+// default). Per member a WAL-backed task DB carrying its shard identity,
+// a TCP server, a chaos proxy in front of it (the stable name clients
+// dial across reboots and failover) and, in a group of two or more, a
+// warm follower replicating the primary's WAL into a standby directory.
+// A one-member group is the single daemon stack: the crash faults reboot
+// it in place. In a larger group the shard-failover fault kills a
+// primary mid-run and promotes its follower. Drivers, workers and
+// invariants see every group size through one routed client.
 
 import (
 	"context"
@@ -20,9 +21,10 @@ import (
 	"osprey/internal/wal"
 )
 
-// shardState is one member of the sharded task substrate. The proxy and
-// the directories are fixed for the run; the member behind the proxy (db,
-// log, server, follower) is swapped under harness.mu by failover.
+// shardState is one member of the task substrate. The proxy and the
+// directories are fixed for the run; the member behind the proxy (db,
+// log, server, follower) is swapped under harness.mu by crash and
+// failover.
 type shardState struct {
 	idx         int
 	dirPrimary  string
@@ -39,67 +41,65 @@ type shardState struct {
 	failedOver bool
 }
 
-func (h *harness) sharded() bool { return len(h.shards) > 0 }
+// bootMember (re)starts member i from its primary log directory: WAL
+// recovery, a server carrying the member's shard identity, the lease
+// reaper, the member's chaos proxy (created on first boot, repointed on
+// a reboot) and, in a group of two or more, a warm follower. Listen ports
+// are ephemeral on every boot; clients re-resolve through the proxy.
+func (h *harness) bootMember(i int) error {
+	s, n := h.shards[i], len(h.shards)
+	l, err := wal.Open(s.dirPrimary, wal.Options{Name: fmt.Sprintf("wal.loadgen.shard%d", i), Logf: h.cfg.Logf})
+	if err != nil {
+		return fmt.Errorf("loadgen: open shard %d WAL: %w", i, err)
+	}
+	db, err := emews.OpenDBShard(l, i, n)
+	if err != nil {
+		l.Close()
+		return fmt.Errorf("loadgen: recover shard %d: %w", i, err)
+	}
+	if err := h.serve(s, db, l); err != nil {
+		return err
+	}
+	if n < 2 {
+		return nil
+	}
+	// The follower tails the primary server directly, not through the
+	// proxy: replication is daemon-to-daemon traffic on the cluster
+	// fabric, while the chaos faults model the worker-facing network.
+	s.follower, err = emews.StartFollower(s.srv.Addr(), s.dirFollower, emews.FollowerOptions{
+		ShardIndex: i,
+		ShardCount: n,
+		WAL:        wal.Options{Name: fmt.Sprintf("wal.loadgen.shard%d.replica", i), Logf: h.cfg.Logf},
+	})
+	if err != nil {
+		return fmt.Errorf("loadgen: shard %d follower: %w", i, err)
+	}
+	return nil
+}
 
-// bootShards starts the whole shard group. Unlike the single stack,
-// sharded runs boot exactly once: the crash faults (reboot in place) are
-// rejected up front, and recovery from a primary loss is failover, not a
-// reboot.
-func (h *harness) bootShards() error {
-	n := h.cfg.Shards
-	for i := 0; i < n; i++ {
-		s := &shardState{
-			idx:         i,
-			dirPrimary:  shardDir(h.dirTasks, i),
-			dirFollower: shardDir(h.dirTasks, i) + "-replica",
-		}
-		s.dir = s.dirPrimary
-		l, err := wal.Open(s.dirPrimary, wal.Options{Name: fmt.Sprintf("wal.loadgen.shard%d", i), Logf: h.cfg.Logf})
-		if err != nil {
-			h.closeShards()
-			return fmt.Errorf("loadgen: open shard %d WAL: %w", i, err)
-		}
-		db, err := emews.OpenDBShard(l, i, n)
-		if err != nil {
-			l.Close()
-			h.closeShards()
-			return fmt.Errorf("loadgen: recover shard %d: %w", i, err)
-		}
-		db.SetLeaseTimeout(5 * time.Second)
-		srv, err := emews.Serve(db, "127.0.0.1:0",
-			emews.WithShardIdentity(i, n), emews.WithReplicationSource(l))
-		if err != nil {
-			l.Close()
-			h.closeShards()
-			return fmt.Errorf("loadgen: shard %d server: %w", i, err)
-		}
-		proxy, err := chaos.NewProxy(srv.Addr())
-		if err != nil {
-			srv.Close()
-			l.Close()
-			h.closeShards()
-			return fmt.Errorf("loadgen: shard %d proxy: %w", i, err)
-		}
-		// The follower tails the primary server directly, not through the
-		// proxy: replication is daemon-to-daemon traffic on the cluster
-		// fabric, while the chaos faults model the worker-facing network.
-		follower, err := emews.StartFollower(srv.Addr(), s.dirFollower, emews.FollowerOptions{
-			ShardIndex: i,
-			ShardCount: n,
-			WAL:        wal.Options{Name: fmt.Sprintf("wal.loadgen.shard%d.replica", i), Logf: h.cfg.Logf},
-		})
-		if err != nil {
-			proxy.Close()
-			srv.Close()
-			l.Close()
-			h.closeShards()
-			return fmt.Errorf("loadgen: shard %d follower: %w", i, err)
-		}
-		reapCtx, reapStop := context.WithCancel(context.Background())
-		db.StartReaper(reapCtx, 500*time.Millisecond)
-		s.db, s.log, s.srv, s.proxy = db, l, srv, proxy
-		s.follower, s.reapStop = follower, reapStop
-		h.shards = append(h.shards, s)
+// serve puts db, recovered from l, behind member s's server, lease reaper
+// and chaos proxy: the first boot creates the proxy, every later boot
+// (crash reboot, failover promotion) repoints it.
+func (h *harness) serve(s *shardState, db *emews.DB, l *wal.Log) error {
+	db.SetLeaseTimeout(5 * time.Second)
+	srv, err := emews.Serve(db, "127.0.0.1:0",
+		emews.WithShardIdentity(s.idx, len(h.shards)), emews.WithReplicationSource(l))
+	if err != nil {
+		l.Close()
+		return fmt.Errorf("loadgen: shard %d server: %w", s.idx, err)
+	}
+	reapCtx, reapStop := context.WithCancel(context.Background())
+	db.StartReaper(reapCtx, 500*time.Millisecond)
+
+	h.mu.Lock()
+	s.db, s.log, s.srv, s.reapStop = db, l, srv, reapStop
+	h.mu.Unlock()
+	if s.proxy != nil {
+		s.proxy.SetBackend(srv.Addr())
+		return nil
+	}
+	if s.proxy, err = chaos.NewProxy(srv.Addr()); err != nil {
+		return fmt.Errorf("loadgen: shard %d proxy: %w", s.idx, err)
 	}
 	return nil
 }
@@ -142,23 +142,15 @@ func (h *harness) failover(i int) error {
 	if err != nil {
 		return err
 	}
-	db.SetLeaseTimeout(5 * time.Second)
-	nsrv, err := emews.Serve(db, "127.0.0.1:0",
-		emews.WithShardIdentity(i, h.cfg.Shards), emews.WithReplicationSource(nlog))
-	if err != nil {
-		return fmt.Errorf("loadgen: serve promoted shard %d: %w", i, err)
+	if err := h.serve(s, db, nlog); err != nil {
+		return err
 	}
-	reapCtx, stop := context.WithCancel(context.Background())
-	db.StartReaper(reapCtx, 500*time.Millisecond)
 
 	h.mu.Lock()
-	s.db, s.log, s.srv, s.reapStop = db, nlog, nsrv, stop
 	s.follower = nil
 	s.dir = s.dirFollower
 	s.failedOver = true
 	h.mu.Unlock()
-
-	s.proxy.SetBackend(nsrv.Addr())
 	s.proxy.KillActive()
 
 	h.faultMu.Lock()
@@ -169,9 +161,8 @@ func (h *harness) failover(i int) error {
 }
 
 // closeShards tears the group down in dependency order — reapers, then
-// servers, then unpromoted followers, then logs — returning the first
-// log-close error (the same fail-stop close contract the single stack
-// has). Safe on a partially booted group.
+// servers, then unpromoted followers and proxies, then logs — returning
+// the first log-close error. Safe on a partially booted group.
 func (h *harness) closeShards() error {
 	var firstErr error
 	for _, s := range h.shards {
@@ -183,6 +174,9 @@ func (h *harness) closeShards() error {
 		}
 		if s.follower != nil {
 			s.follower.Close()
+		}
+		if s.proxy != nil {
+			s.proxy.Close()
 		}
 		if s.log != nil {
 			if err := s.log.Close(); err != nil && firstErr == nil {
@@ -206,13 +200,9 @@ func (h *harness) auditDirs() []string {
 	return out
 }
 
-// proxies returns every chaos proxy in the topology — one for the single
-// stack, one per shard for a group — so the network faults (kill, refuse,
-// latency) hit the whole fabric.
+// proxies returns every member's chaos proxy, so the network faults
+// (kill, refuse, latency) hit the whole fabric.
 func (h *harness) proxies() []*chaos.Proxy {
-	if !h.sharded() {
-		return []*chaos.Proxy{h.proxy}
-	}
 	out := make([]*chaos.Proxy, len(h.shards))
 	for i, s := range h.shards {
 		out[i] = s.proxy
@@ -220,17 +210,21 @@ func (h *harness) proxies() []*chaos.Proxy {
 	return out
 }
 
-// proxyAddrs returns the stable client-facing address of every shard,
-// indexed by shard — the address list a ShardedClient routes over.
-func (h *harness) proxyAddrs() []string {
+// dial connects a routing client to the group through the members'
+// proxies — the stable names that survive reboots and failover. Pool
+// workers and the ME-side submit driver both use it.
+func (h *harness) dial() (*emews.ShardedClient, error) {
 	addrs := make([]string, len(h.shards))
 	for i, s := range h.shards {
 		addrs[i] = s.proxy.Addr()
 	}
-	return addrs
+	return emews.DialShardGroup(addrs,
+		emews.WithOpTimeout(3*time.Second),
+		emews.WithBackoff(5*time.Millisecond, 100*time.Millisecond),
+		emews.WithRetries(2))
 }
 
-// proxyStats sums fault counters across the topology's proxies.
+// proxyStats sums fault counters across the members' proxies.
 func (h *harness) proxyStats() chaos.ProxyStats {
 	var sum chaos.ProxyStats
 	for _, p := range h.proxies() {
@@ -242,40 +236,33 @@ func (h *harness) proxyStats() chaos.ProxyStats {
 	return sum
 }
 
+// dbs returns every member's current DB.
+func (h *harness) dbs() []*emews.DB {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	out := make([]*emews.DB, len(h.shards))
+	for i, s := range h.shards {
+		out[i] = s.db
+	}
+	return out
+}
+
 // dumpAll merges every member's task dump, sorted by ID. Strided ID
 // allocation keeps the ID space disjoint across shards, so the merge is
-// the same per-task ledger a single stack would hold.
+// the same per-task ledger a single member would hold.
 func (h *harness) dumpAll() []emews.Task {
-	if !h.sharded() {
-		return h.currentDB().Dump()
-	}
-	h.mu.Lock()
-	dbs := make([]*emews.DB, len(h.shards))
-	for i, s := range h.shards {
-		dbs[i] = s.db
-	}
-	h.mu.Unlock()
 	var out []emews.Task
-	for _, db := range dbs {
+	for _, db := range h.dbs() {
 		out = append(out, db.Dump()...)
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
 	return out
 }
 
-// statsAll sums occupancy counters across the topology.
+// statsAll sums occupancy counters across the members.
 func (h *harness) statsAll() emews.Stats {
-	if !h.sharded() {
-		return h.currentDB().Stats()
-	}
-	h.mu.Lock()
-	dbs := make([]*emews.DB, len(h.shards))
-	for i, s := range h.shards {
-		dbs[i] = s.db
-	}
-	h.mu.Unlock()
 	var sum emews.Stats
-	for _, db := range dbs {
+	for _, db := range h.dbs() {
 		st := db.Stats()
 		sum.Queued += st.Queued
 		sum.Running += st.Running
