@@ -22,7 +22,7 @@
 //
 // With -shards N (N >= 2, requires -data-dir) the daemon additionally
 // serves an N-shard EMEWS task-substrate group under DIR/emews-shards:
-// one WAL-backed task database per shard, each on its own wire-v2 TCP
+// one WAL-backed task database per shard, each on its own EMEWS wire TCP
 // listener carrying its shard identity, ready for emews.DialShardGroup
 // clients. Listeners bind ephemeral loopback ports by default;
 // -shard-addrs pins them. GET /shards reports per-shard addresses and

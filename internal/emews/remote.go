@@ -27,19 +27,18 @@ type RemotePool struct {
 }
 
 // StartRemotePool connects `workers` TCP workers to the database served at
-// addr and begins consuming tasks of taskType. Each worker holds its own
-// connection (Pop blocks the connection while waiting); the underlying
-// Client transparently reconnects with exponential backoff when the
-// connection drops, and every resolution is fenced with the claim's
-// attempt epoch.
+// addr and begins consuming tasks of taskType, one task per lease. Each
+// worker holds its own connection; the underlying Client transparently
+// reconnects with exponential backoff when the connection drops, and
+// every resolution is fenced with the claim's attempt epoch.
 func StartRemotePool(addr, taskType string, workers int, handler Handler) (*RemotePool, error) {
 	return StartRemotePoolBatched(addr, taskType, workers, 1, handler)
 }
 
-// StartRemotePoolBatched is StartRemotePool with batched wire ops: each
+// StartRemotePoolBatched is StartRemotePool with larger leases: each
 // worker leases up to batch tasks per round trip (pop_batch) and resolves
 // them together (finish_batch), amortizing the network exchange over the
-// batch. batch <= 1 uses the single-op path.
+// batch.
 func StartRemotePoolBatched(addr, taskType string, workers, batch int, handler Handler) (*RemotePool, error) {
 	if workers <= 0 {
 		return nil, errors.New("emews: remote pool needs at least one worker")
@@ -93,18 +92,7 @@ func (p *RemotePool) worker(ctx context.Context) {
 			}
 			client = c
 		}
-		var tasks []RemoteTask
-		var err error
-		if p.batch > 1 {
-			tasks, err = client.PopBatch(p.taskType, p.batch, 200*time.Millisecond)
-		} else {
-			var task RemoteTask
-			var ok bool
-			task, ok, err = client.Pop(p.taskType, 200*time.Millisecond)
-			if err == nil && ok {
-				tasks = []RemoteTask{task}
-			}
-		}
+		tasks, err := client.PopBatch(p.taskType, p.batch, 200*time.Millisecond)
 		if err != nil {
 			// The client already retried over fresh connections; treat a
 			// persistent failure as "server unavailable" and redial from
@@ -135,25 +123,13 @@ func (p *RemotePool) worker(ctx context.Context) {
 				fins[i] = FinishOp{TaskID: task.ID, Epoch: task.Epoch, Result: result}
 			}
 		}
-		var resolveErrs []error
-		if p.batch > 1 {
-			resolveErrs, err = client.FinishBatch(fins)
-			if err != nil {
-				// The exchange itself failed; every resolution is unknown.
-				// The server's connection cleanup requeues the claims.
-				resolveErrs = make([]error, len(fins))
-				for i := range resolveErrs {
-					resolveErrs[i] = err
-				}
-			}
-		} else {
+		resolveErrs, err := client.FinishBatch(fins)
+		if err != nil {
+			// The exchange itself failed; every resolution is unknown.
+			// The server's connection cleanup requeues the claims.
 			resolveErrs = make([]error, len(fins))
-			for i, fin := range fins {
-				if fin.Failed {
-					resolveErrs[i] = client.Fail(fin.TaskID, fin.Epoch, fin.ErrMsg)
-				} else {
-					resolveErrs[i] = client.Complete(fin.TaskID, fin.Epoch, fin.Result)
-				}
+			for i := range resolveErrs {
+				resolveErrs[i] = err
 			}
 		}
 		p.mu.Lock()

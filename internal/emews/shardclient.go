@@ -6,8 +6,8 @@
 //     the same ring every server builds from the shard count, so a
 //     misrouted submit is caught server-side with a wrong_shard redirect,
 //     which the client follows transparently.
-//   - Task-addressed ops (complete/fail/result/finish_batch entries) route
-//     by the task ID's stride: ShardOfTask(id, n).
+//   - Task-addressed ops (result and finish_batch entries) route by the
+//     task ID's stride: ShardOfTask(id, n).
 //   - pop_batch fans out: the client keeps one outstanding pop per shard
 //     per task type, returns as soon as any shard delivers, and buffers
 //     late deliveries (their leases are live connection-scoped claims) for
@@ -212,16 +212,14 @@ func (sc *ShardedClient) Submit(taskType string, priority int, payload string) (
 }
 
 // SubmitRetry inserts a task with a retry budget on the shard owning its
-// payload key. Like Client.SubmitRetry it is not transport-retried once
-// the request may have been applied.
+// payload key (SubmitBatch of one). Like Client.SubmitRetry it is not
+// transport-retried once the request may have been applied.
 func (sc *ShardedClient) SubmitRetry(taskType string, priority int, payload string, maxAttempts int) (int64, error) {
-	var id int64
-	err := sc.onShard(sc.ring.Lookup(payload), func(cl *Client) error {
-		var err error
-		id, err = cl.SubmitKeyedRetry(taskType, priority, payload, payload, maxAttempts)
-		return err
-	})
-	return id, err
+	ids, err := sc.SubmitBatch(taskType, priority, []string{payload}, maxAttempts)
+	if err != nil {
+		return 0, err
+	}
+	return ids[0], nil
 }
 
 // SubmitBatch splits the payloads across their owning shards (one
