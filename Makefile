@@ -165,14 +165,15 @@ bench-compare:
 	$(GO) run ./cmd/benchjson -compare BENCH_baseline.json BENCH_fresh.json -tolerance 0.15 -diff-out bench-diff.json
 
 # Short coverage-guided fuzz of the WAL record decoder, the emews
-# binary wire-frame decoder and codec round trip, and the loadgen fault
-# DSL (nightly job). The -run lines run only their fuzz target, not the
-# package's other tests.
+# binary wire-frame decoder and codec round trip, the loadgen fault
+# DSL and the R(t) estimate decoder (nightly job). The -run lines run only
+# their fuzz target, not the package's other tests.
 fuzz-smoke:
 	$(GO) test -fuzz=FuzzParseRecord -fuzztime=30s ./internal/wal/
 	$(GO) test -fuzz=FuzzDecodeFrame -fuzztime=30s ./internal/emews/
 	$(GO) test -run FuzzWireRoundTrip -fuzz=FuzzWireRoundTrip -fuzztime=30s ./internal/emews/
 	$(GO) test -run FuzzParseFaults -fuzz=FuzzParseFaults -fuzztime=30s ./internal/loadgen/
+	$(GO) test -run FuzzDecodeEstimate -fuzz=FuzzDecodeEstimate -fuzztime=30s ./internal/core/
 
 # Regenerate every paper table/figure into out/ (see EXPERIMENTS.md).
 figures:

@@ -1,10 +1,13 @@
 package core
 
 import (
+	"bytes"
 	"context"
+	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
 	"net"
 	"net/http"
 	"strings"
@@ -63,10 +66,107 @@ type WastewaterPipeline struct {
 	truth     []float64
 }
 
-// estimateOutput is the serialized product of one plant's analysis flow —
-// the stand-in for the paper's "binary R datatable objects".
-type estimateOutput struct {
-	Estimate *rt.Estimate `json:"estimate"`
+// estimateVersion is the first byte of an encoded estimate.
+const estimateVersion = 1
+
+// estimateHeader is the size of the fixed fields: the version byte and the
+// summary length, then after the summary the draw count and days.
+const estimateHeader = 1 + 4 + 4 + 4
+
+// encodeEstimate serializes one plant's estimate as the "estimate" output
+// of its analysis flow — the stand-in for the paper's "binary R datatable
+// objects". The layout (DESIGN.md, "The estimate output") is:
+//
+//	version      1 byte, estimateVersion
+//	summaryLen   uint32 LE
+//	summary      summaryLen bytes: the Estimate as JSON, Draws omitted
+//	nDraws, days uint32 LE each; days equals len(Days)
+//	draws        nDraws*days float64 LE, draw-major
+//
+// The draws are the bulk of the bytes and stay exact as raw bits; the
+// aggregate reads them without parsing text.
+func encodeEstimate(est *rt.Estimate) ([]byte, error) {
+	days := len(est.Days)
+	if days == 0 && len(est.Draws) > 0 {
+		return nil, errors.New("core: estimate has draws but no days")
+	}
+	for _, row := range est.Draws {
+		if len(row) != days {
+			return nil, errors.New("core: estimate draw length differs from its days")
+		}
+	}
+	summary := *est
+	summary.Draws = nil
+	js, err := json.Marshal(&summary)
+	if err != nil {
+		return nil, err
+	}
+	buf := make([]byte, 0, estimateHeader+len(js)+8*len(est.Draws)*days)
+	buf = append(buf, estimateVersion)
+	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(js)))
+	buf = append(buf, js...)
+	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(est.Draws)))
+	buf = binary.LittleEndian.AppendUint32(buf, uint32(days))
+	for _, row := range est.Draws {
+		for _, x := range row {
+			buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(x))
+		}
+	}
+	return buf, nil
+}
+
+// decodeEstimate is encodeEstimate's inverse. It accepts exactly the bytes
+// encodeEstimate produces: the summary must be in its canonical JSON form,
+// the counts must match the buffer, and nothing may follow the draws.
+func decodeEstimate(b []byte) (*rt.Estimate, error) {
+	if len(b) < 1+4 {
+		return nil, errors.New("core: estimate truncated")
+	}
+	if b[0] != estimateVersion {
+		return nil, fmt.Errorf("core: estimate version %d, want %d", b[0], estimateVersion)
+	}
+	n := uint64(binary.LittleEndian.Uint32(b[1:]))
+	b = b[5:]
+	if n > uint64(len(b)) {
+		return nil, errors.New("core: estimate summary truncated")
+	}
+	js := b[:n]
+	b = b[n:]
+	est := new(rt.Estimate)
+	if err := json.Unmarshal(js, est); err != nil {
+		return nil, fmt.Errorf("core: estimate summary: %w", err)
+	}
+	if est.Draws != nil {
+		return nil, errors.New("core: estimate summary carries draws")
+	}
+	if canon, err := json.Marshal(est); err != nil || !bytes.Equal(canon, js) {
+		return nil, errors.New("core: estimate summary not in canonical form")
+	}
+	if len(b) < 8 {
+		return nil, errors.New("core: estimate draw header truncated")
+	}
+	nDraws := uint64(binary.LittleEndian.Uint32(b))
+	days := uint64(binary.LittleEndian.Uint32(b[4:]))
+	b = b[8:]
+	if days != uint64(len(est.Days)) {
+		return nil, fmt.Errorf("core: estimate draws span %d days, summary %d", days, len(est.Days))
+	}
+	// Both counts are below 2^32, so their product cannot overflow.
+	if (days == 0 && nDraws > 0) || len(b)%8 != 0 || nDraws*days != uint64(len(b)/8) {
+		return nil, fmt.Errorf("core: estimate holds %d draw bytes, want %d×%d float64", len(b), nDraws, days)
+	}
+	if nDraws == 0 {
+		return est, nil
+	}
+	flat := make([]float64, nDraws*days)
+	for i := range flat {
+		flat[i] = math.Float64frombits(binary.LittleEndian.Uint64(b[8*i:]))
+	}
+	est.Draws = make([][]float64, nDraws)
+	for k := range est.Draws {
+		est.Draws[k] = flat[uint64(k)*days : uint64(k+1)*days : uint64(k+1)*days]
+	}
+	return est, nil
 }
 
 // ensembleOutput is the aggregate flow's product.
@@ -244,13 +344,13 @@ func runGoldsteinHarness(payload []byte, plant wastewater.Plant, gopt rt.Goldste
 	for d := range est.Days {
 		fmt.Fprintf(&table, "%d,%.4f,%.4f,%.4f\n", d, est.Median[d], est.Lower[d], est.Upper[d])
 	}
-	estJSON, err := json.Marshal(estimateOutput{Estimate: est})
+	estBytes, err := encodeEstimate(est)
 	if err != nil {
 		return nil, err
 	}
 	return aero.EncodeOutputs(map[string][]byte{
 		"table":    []byte(table.String()),
-		"estimate": estJSON,
+		"estimate": estBytes,
 		"plot":     []byte(renderEstimatePlot(plant.Name, est)),
 	})
 }
@@ -264,11 +364,11 @@ func runEnsembleHarness(_ context.Context, payload []byte) ([]byte, error) {
 	}
 	var ests []*rt.Estimate
 	for _, in := range req.Inputs {
-		var out estimateOutput
-		if err := json.Unmarshal(in.Data, &out); err != nil {
+		est, err := decodeEstimate(in.Data)
+		if err != nil {
 			return nil, fmt.Errorf("aggregate: decode input %s: %w", in.UUID, err)
 		}
-		ests = append(ests, out.Estimate)
+		ests = append(ests, est)
 	}
 	ens, err := rt.EnsembleWeighted(ests, nil)
 	if err != nil {
@@ -354,11 +454,7 @@ func (wp *WastewaterPipeline) LatestEstimate(name string) (*rt.Estimate, error) 
 		if err != nil {
 			return nil, err
 		}
-		var out estimateOutput
-		if err := json.Unmarshal(data, &out); err != nil {
-			return nil, err
-		}
-		return out.Estimate, nil
+		return decodeEstimate(data)
 	}
 	return nil, fmt.Errorf("core: unknown plant %q", name)
 }

@@ -84,9 +84,8 @@ func EnsembleWeighted(estimates []*Estimate, weights []float64) (*EnsembleEstima
 					poolW = append(poolW, w)
 				}
 			}
-			out.Lower[d] = stats.WeightedQuantile(pool, poolW, 0.025)
-			out.Median[d] = stats.WeightedQuantile(pool, poolW, 0.5)
-			out.Upper[d] = stats.WeightedQuantile(pool, poolW, 0.975)
+			qs := stats.WeightedQuantiles(pool, poolW, 0.025, 0.5, 0.975)
+			out.Lower[d], out.Median[d], out.Upper[d] = qs[0], qs[1], qs[2]
 		}
 	})
 	return out, nil

@@ -1,10 +1,10 @@
 package rt
 
-import (
-	"math"
+import "math"
 
-	"osprey/internal/stats"
-)
+// halfLog2Pi is the Gaussian normalizing constant of every observation
+// term, computed with stats.LogNormalPDFLog's expression.
+var halfLog2Pi = 0.5 * math.Log(2*math.Pi)
 
 // goldsteinState is the full intermediate state of one posterior evaluation:
 // the interpolated daily log-R series, its exponentials, the renewal
@@ -42,19 +42,44 @@ func newGoldsteinState(days, nObs int) *goldsteinState {
 // copied bit-for-bit from the committed point. The chain this target
 // produces is therefore bit-identical to running the plain posterior — which
 // TestGoldsteinIncrementalMatchesFull enforces.
+//
+// The arithmetic is stats.LogNormalPDFLog's, with its per-call constants
+// hoisted: log(concentration) is taken once per observation, log sigma once
+// per call. Its x <= 0 || sigma <= 0 guard is dropped: EstimateGoldstein
+// rejects nonpositive concentrations and sigma is an exponential. The
+// convolution kernels are stored reversed so each sum runs
+// over two equal-length windows (no bounds checks) while still adding lag
+// 1, 2, … in logPosterior's order.
 type goldsteinTarget struct {
 	m         *goldsteinModel
 	cur, prop *goldsteinState
 	committed bool
 	propOK    bool
+
+	logConc []float64 // log(obs[i].Concentration)
+	genRev  []float64 // genRev[j] = genPMF[maxLag-j], lags maxLag..1
+	shedRev []float64 // shedRev[j] = shedPMF[len-1-j], lags len-1..0
 }
 
 func newGoldsteinTarget(m *goldsteinModel) *goldsteinTarget {
-	return &goldsteinTarget{
-		m:    m,
-		cur:  newGoldsteinState(m.days, len(m.obs)),
-		prop: newGoldsteinState(m.days, len(m.obs)),
+	t := &goldsteinTarget{
+		m:       m,
+		cur:     newGoldsteinState(m.days, len(m.obs)),
+		prop:    newGoldsteinState(m.days, len(m.obs)),
+		logConc: make([]float64, len(m.obs)),
+		genRev:  make([]float64, len(m.genPMF)-1),
+		shedRev: make([]float64, len(m.shedPMF)),
 	}
+	for i, o := range m.obs {
+		t.logConc[i] = math.Log(o.Concentration)
+	}
+	for j := range t.genRev {
+		t.genRev[j] = m.genPMF[len(m.genPMF)-1-j]
+	}
+	for j := range t.shedRev {
+		t.shedRev[j] = m.shedPMF[len(m.shedPMF)-1-j]
+	}
+	return t
 }
 
 func (t *goldsteinTarget) LogDensityAt(theta []float64, changed int) float64 {
@@ -68,6 +93,7 @@ func (t *goldsteinTarget) LogDensityAt(theta []float64, changed int) float64 {
 		return math.Inf(-1)
 	}
 	sigma := math.Exp(logSigma)
+	logSig := math.Log(sigma)
 
 	// Priors — always recomputed, in logPosterior's exact order.
 	lp := 0.0
@@ -120,44 +146,61 @@ func (t *goldsteinTarget) LogDensityAt(theta []float64, changed int) float64 {
 		}
 	}
 
-	// Renewal recursion over the affected suffix.
+	// Renewal recursion over the affected suffix. lambda sums lags 1..n:
+	// win[k] is inc[d-n+k] and gen[k] its lag-(n-k) weight, so walking k
+	// down from n-1 adds lag 1 first.
 	seed := math.Exp(logSeed)
-	copy(p.inc[:incFrom], cur.inc[:incFrom])
-	maxLag := len(m.genPMF) - 1
+	inc := p.inc
+	copy(inc[:incFrom], cur.inc[:incFrom])
+	maxLag := len(t.genRev)
 	for d := incFrom; d < m.days; d++ {
 		if d < m.seedDays {
-			p.inc[d] = seed
+			inc[d] = seed
 			continue
 		}
+		n := min(maxLag, d)
+		win := inc[d-n : d]
+		gen := t.genRev[maxLag-n:]
+		gen = gen[:len(win)]
 		lambda := 0.0
-		for lag := 1; lag <= maxLag && lag <= d; lag++ {
-			lambda += p.inc[d-lag] * m.genPMF[lag]
+		for k := len(win) - 1; k >= 0; k-- {
+			lambda += win[k] * gen[k]
 		}
-		p.inc[d] = p.expLogR[d] * lambda
+		inc[d] = p.expLogR[d] * lambda
 	}
 
 	// Observation model: loads rerun only where the incidence moved, the
-	// log-normal densities additionally when sigma moved.
+	// log-normal densities additionally when sigma moved. The load sums
+	// lags 0..n the same way the renewal sums lags 1..n.
+	nShed := len(t.shedRev)
+	load, term := p.load[:len(m.obs)], p.term[:len(m.obs)]
+	logConc := t.logConc[:len(m.obs)]
 	for oi := range m.obs {
-		o := &m.obs[oi]
-		if o.Day >= incFrom {
-			load := 0.0
-			for lag := 0; lag < len(m.shedPMF) && lag <= o.Day; lag++ {
-				load += p.inc[o.Day-lag] * m.shedPMF[lag]
+		day := m.obs[oi].Day
+		if day >= incFrom {
+			n := min(nShed-1, day)
+			win := inc[day-n : day+1]
+			shed := t.shedRev[nShed-1-n:]
+			shed = shed[:len(win)]
+			l := 0.0
+			for k := len(win) - 1; k >= 0; k-- {
+				l += win[k] * shed[k]
 			}
-			p.load[oi] = load
+			load[oi] = l
 		} else {
-			p.load[oi] = cur.load[oi]
+			load[oi] = cur.load[oi]
 		}
-		if p.load[oi] <= 0 {
+		if load[oi] <= 0 {
 			return math.Inf(-1)
 		}
-		if o.Day >= incFrom || sigmaMoved {
-			p.term[oi] = stats.LogNormalPDFLog(o.Concentration, math.Log(p.load[oi]), sigma)
+		if day >= incFrom || sigmaMoved {
+			lx := logConc[oi]
+			z := (lx - math.Log(load[oi])) / sigma
+			term[oi] = -lx - logSig - halfLog2Pi - 0.5*z*z
 		} else {
-			p.term[oi] = cur.term[oi]
+			term[oi] = cur.term[oi]
 		}
-		lp += p.term[oi]
+		lp += term[oi]
 	}
 	if math.IsNaN(lp) {
 		return math.Inf(-1)

@@ -297,39 +297,57 @@ func GelmanRubin(chains [][]float64) float64 {
 // inverse of the weighted ECDF with midpoint convention. It is the
 // aggregation primitive behind the population-weighted ensemble R(t).
 func WeightedQuantile(xs, ws []float64, q float64) float64 {
+	return WeightedQuantiles(xs, ws, q)[0]
+}
+
+// WeightedQuantiles returns WeightedQuantile(xs, ws, q) for each of qs,
+// sorting xs once for all of them. Empty input, a negative weight or a
+// nonpositive total gives NaN for every q; a q outside [0,1] panics.
+func WeightedQuantiles(xs, ws []float64, qs ...float64) []float64 {
 	if len(xs) != len(ws) {
 		panic("stats: WeightedQuantile length mismatch")
 	}
-	if len(xs) == 0 {
-		return math.NaN()
+	out := make([]float64, len(qs))
+	for k := range out {
+		out[k] = math.NaN()
 	}
-	if q < 0 || q > 1 {
-		panic("stats: quantile out of [0,1]")
+	if len(xs) == 0 {
+		return out
+	}
+	for _, q := range qs {
+		if q < 0 || q > 1 {
+			panic("stats: quantile out of [0,1]")
+		}
+	}
+	total, negative := 0.0, false
+	for _, w := range ws {
+		if w < 0 {
+			negative = true
+			break
+		}
+		total += w
+	}
+	if negative || total <= 0 {
+		return out
 	}
 	idx := make([]int, len(xs))
 	for i := range idx {
 		idx[i] = i
 	}
 	sort.Slice(idx, func(a, b int) bool { return xs[idx[a]] < xs[idx[b]] })
-	total := 0.0
-	for _, w := range ws {
-		if w < 0 {
-			return math.NaN()
-		}
-		total += w
-	}
-	if total <= 0 {
-		return math.NaN()
-	}
-	target := q * total
-	cum := 0.0
-	for _, i := range idx {
-		cum += ws[i]
-		if cum >= target {
-			return xs[i]
+	for k, q := range qs {
+		out[k] = xs[idx[len(idx)-1]]
+		target := q * total
+		cum := 0.0
+		for _, i := range idx {
+			cum += ws[i]
+			if cum >= target {
+				out[k] = xs[i]
+				break
+			}
 		}
 	}
-	return xs[idx[len(idx)-1]]
+	return out
 }
 
 // MAD returns the median absolute deviation of xs (a robust scale
