@@ -23,7 +23,6 @@ import (
 	"osprey"
 	"osprey/internal/abm"
 	"osprey/internal/aero"
-	"osprey/internal/calibrate"
 	"osprey/internal/design"
 	"osprey/internal/emews"
 	"osprey/internal/epi"
@@ -446,56 +445,6 @@ func BenchmarkAblationBatchSize(b *testing.B) {
 						b.Fatal(err)
 					}
 				}
-			}
-		})
-	}
-}
-
-// BenchmarkCalibrationABC measures the two calibration strategies against
-// the real MetaRVM simulator at a fixed small budget.
-func BenchmarkCalibrationABC(b *testing.B) {
-	space := metarvm.GSAParameterSpace()
-	gen := func(x []float64, seed uint64) ([]float64, error) {
-		cfg := metarvm.DefaultConfig()
-		p, err := metarvm.ApplyGSAPoint(cfg.Params, x)
-		if err != nil {
-			return nil, err
-		}
-		cfg.Params = p
-		cfg.Seed = seed
-		res, err := metarvm.Run(cfg)
-		if err != nil {
-			return nil, err
-		}
-		out := make([]float64, len(res.Days))
-		for i, d := range res.Days {
-			out[i] = float64(d.NewHospitalizations)
-		}
-		return out, nil
-	}
-	truth := space.Scale([]float64{0.4, 0.5, 0.5, 0.5, 0.5})
-	observed, err := gen(truth, 999)
-	if err != nil {
-		b.Fatal(err)
-	}
-	for _, mode := range []string{"rejection", "surrogate"} {
-		b.Run(mode, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				opts := calibrate.Options{
-					Space: space, Observed: observed,
-					Budget: 60, AcceptFraction: 0.1, Seed: uint64(i + 1),
-				}
-				var res *calibrate.Result
-				var err error
-				if mode == "surrogate" {
-					res, err = calibrate.SurrogateABC(gen, calibrate.SurrogateABCOptions{Options: opts})
-				} else {
-					res, err = calibrate.ABCRejection(gen, opts)
-				}
-				if err != nil {
-					b.Fatal(err)
-				}
-				b.ReportMetric(res.Best().Distance, "best-dist")
 			}
 		})
 	}

@@ -46,8 +46,6 @@ func main() {
 
 	var err error
 	switch args[0] {
-	case "artifacts":
-		err = artifactsCmd(args[1:])
 	case "flows":
 		err = listFlows(client)
 	case "data":
@@ -88,7 +86,6 @@ func main() {
 
 func usage() {
 	fmt.Fprintln(os.Stderr, "usage: ospreyctl [-server URL] flows|data|versions <uuid>|provenance <uuid>|topology|shards|metrics|trace|health|compact")
-	fmt.Fprintln(os.Stderr, "       ospreyctl artifacts [-file F] list|search|register|add-env|check ...")
 	os.Exit(2)
 }
 

@@ -15,7 +15,7 @@ import (
 // serializable mutation record routed through applyLocked, the single
 // state-transition function. The live path builds the record (assigning
 // IDs, version numbers, and timestamps so the transition is fully
-// deterministic), persists it through the optional wal.Backend, and only
+// deterministic), persists it through the optional WAL, and only
 // then applies it; recovery replays the same records through the same
 // applyLocked, rebuilding identical state without re-firing side effects
 // (metrics, watch notifications) because those live in the API wrappers,
@@ -81,16 +81,16 @@ func (s *Store) applyLocked(m *mutation) error {
 	return nil
 }
 
-// commitLocked persists m through the backend (if any) and applies it.
+// commitLocked persists m through the WAL (if any) and applies it.
 // Fail-stop: a persistence error leaves the in-memory state untouched, so
 // memory never runs ahead of the log. The caller holds s.mu.
 func (s *Store) commitLocked(m *mutation) error {
-	if s.backend != nil {
+	if s.wal != nil {
 		rec, err := json.Marshal(m)
 		if err != nil {
 			return fmt.Errorf("aero: encode mutation: %w", err)
 		}
-		if err := s.backend.Append(rec); err != nil {
+		if err := s.wal.Append(rec); err != nil {
 			return fmt.Errorf("aero: wal append: %w", err)
 		}
 	}
@@ -99,8 +99,8 @@ func (s *Store) commitLocked(m *mutation) error {
 
 // OpenStore recovers a metadata store from a WAL: the newest snapshot is
 // loaded, the remaining mutation records are replayed through the same
-// applyLocked the live path uses, and the log becomes the store's
-// persistence backend. The log must come straight from wal.Open (not yet
+// applyLocked the live path uses, and the log becomes the store's WAL.
+// The log must come straight from wal.Open (not yet
 // replayed).
 func OpenStore(l *wal.Log) (*Store, error) {
 	s := NewStore()
@@ -121,7 +121,6 @@ func OpenStore(l *wal.Log) (*Store, error) {
 		return nil, err
 	}
 	s.mu.Lock()
-	s.backend = l
 	s.wal = l
 	s.mu.Unlock()
 	return s, nil

@@ -110,19 +110,18 @@ var ErrNotFound = errors.New("aero: not found")
 
 // Store is the in-process metadata database. It is safe for concurrent use.
 // Every mutation flows through a typed mutation record (see durable.go);
-// when a wal.Backend is attached
-// the record is persisted before it is applied, and crash recovery replays
-// the same records through the same transition function.
+// when a WAL is attached the record is persisted before it is applied, and
+// crash recovery replays the same records through the same transition
+// function.
 type Store struct {
-	mu      sync.RWMutex
-	next    int            // legacy-tenant ("") ID counter
-	nextT   map[string]int // per-tenant ID counters (see tenant.go)
-	data    map[string]*DataRecord
-	flows   map[string]*FlowRecord
-	prov    []ProvenanceEdge
-	backend wal.Backend // nil = in-memory only (the default)
-	wal     *wal.Log    // set by OpenStore; enables Compact
-	hub     *watchHub   // streaming watch fan-out, fed by live AppendVersion
+	mu    sync.RWMutex
+	next  int            // legacy-tenant ("") ID counter
+	nextT map[string]int // per-tenant ID counters (see tenant.go)
+	data  map[string]*DataRecord
+	flows map[string]*FlowRecord
+	prov  []ProvenanceEdge
+	wal   *wal.Log  // set by OpenStore; nil = in-memory only (the default)
+	hub   *watchHub // streaming watch fan-out, fed by live AppendVersion
 }
 
 // NewStore creates an empty, in-memory metadata store.

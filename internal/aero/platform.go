@@ -64,7 +64,6 @@ type Platform struct {
 	evDropped  int64
 	wg         sync.WaitGroup
 	httpClient *http.Client
-	endpoints  map[string]endpointHandle
 }
 
 // DefaultEventBuffer is the event-ring capacity when Config.EventBuffer is 0.

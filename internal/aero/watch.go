@@ -1,8 +1,6 @@
 package aero
 
 import (
-	"errors"
-	"fmt"
 	"sync"
 	"time"
 )
@@ -181,103 +179,4 @@ func (h *watchHub) publish(u DataUpdate) {
 			s.offer(u)
 		}
 	}
-}
-
-// RetentionPolicy bounds per-identity version history.
-type RetentionPolicy struct {
-	// KeepLast retains only the most recent n versions' storage objects
-	// (metadata rows are kept; their storage coordinates are cleared).
-	KeepLast int
-}
-
-// ErrBadPolicy is returned for non-positive retention windows.
-var ErrBadPolicy = errors.New("aero: retention policy must keep at least one version")
-
-// PruneVersions applies a retention policy to one data identity: storage
-// objects older than the window are deleted from the endpoint and their
-// metadata marked pruned. It returns the number of storage objects
-// removed. Provenance and version numbering are untouched — lineage is
-// never rewritten, only bulk data reclaimed.
-func (p *Platform) PruneVersions(uuid string, policy RetentionPolicy) (int, error) {
-	if policy.KeepLast < 1 {
-		return 0, ErrBadPolicy
-	}
-	rec, err := p.Meta.GetData(uuid)
-	if err != nil {
-		return 0, err
-	}
-	cut := len(rec.Versions) - policy.KeepLast
-	if cut <= 0 {
-		return 0, nil
-	}
-	pruner, ok := p.Meta.(versionPruner)
-	if !ok {
-		return 0, fmt.Errorf("aero: metadata backend does not support pruning")
-	}
-	removed := 0
-	for i := 0; i < cut; i++ {
-		v := rec.Versions[i]
-		if v.Path == "" {
-			continue // already pruned
-		}
-		ep := p.endpointByName(v.Endpoint)
-		if ep != nil {
-			if err := ep.Delete(v.Collection, v.Path, p.identity); err == nil {
-				removed++
-			}
-		}
-		if err := pruner.MarkPruned(uuid, v.Num); err != nil {
-			return removed, err
-		}
-	}
-	p.logEvent("prune", uuid, fmt.Sprintf("removed %d of %d versions", removed, len(rec.Versions)))
-	return removed, nil
-}
-
-// versionPruner is the optional metadata capability behind PruneVersions.
-type versionPruner interface {
-	MarkPruned(uuid string, versionNum int) error
-}
-
-// MarkPruned clears the storage coordinates of one version, recording that
-// its bytes were reclaimed.
-func (s *Store) MarkPruned(uuid string, versionNum int) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	rec, ok := s.data[uuid]
-	if !ok {
-		return fmt.Errorf("%w: data %s", ErrNotFound, uuid)
-	}
-	for i := range rec.Versions {
-		if rec.Versions[i].Num == versionNum {
-			rec.Versions[i].Endpoint = ""
-			rec.Versions[i].Collection = ""
-			rec.Versions[i].Path = ""
-			return nil
-		}
-	}
-	return fmt.Errorf("%w: version %d of %s", ErrNotFound, versionNum, uuid)
-}
-
-// RegisterEndpoint makes a storage endpoint resolvable by name for
-// retention operations.
-func (p *Platform) RegisterEndpoint(ep endpointHandle) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if p.endpoints == nil {
-		p.endpoints = map[string]endpointHandle{}
-	}
-	p.endpoints[ep.EndpointName()] = ep
-}
-
-func (p *Platform) endpointByName(name string) endpointHandle {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.endpoints[name]
-}
-
-// endpointHandle is the minimal storage capability retention needs.
-type endpointHandle interface {
-	EndpointName() string
-	Delete(collection, path, identity string) error
 }

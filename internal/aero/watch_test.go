@@ -128,56 +128,6 @@ func TestSlowSubscriberDropsNotBlocks(t *testing.T) {
 	}
 }
 
-func TestPruneVersions(t *testing.T) {
-	rig := newRig(t, nil)
-	p := rig.platform
-	p.RegisterEndpoint(rig.endpoint)
-	d, _ := p.Meta.CreateData("history", "")
-	for i := 1; i <= 5; i++ {
-		pushVersion(t, rig, d.UUID, "h/v"+string(rune('0'+i)), string(rune('a'+i)))
-	}
-	removed, err := p.PruneVersions(d.UUID, RetentionPolicy{KeepLast: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if removed != 3 {
-		t.Fatalf("removed %d objects, want 3", removed)
-	}
-	rec, _ := p.Meta.GetData(d.UUID)
-	if len(rec.Versions) != 5 {
-		t.Fatal("metadata rows must survive pruning")
-	}
-	for i, v := range rec.Versions {
-		pruned := v.Path == ""
-		if i < 3 && !pruned {
-			t.Fatalf("version %d not pruned", v.Num)
-		}
-		if i >= 3 && pruned {
-			t.Fatalf("recent version %d pruned", v.Num)
-		}
-	}
-	// Remaining objects still fetchable.
-	if _, _, err := p.FetchLatest(d.UUID, rig.endpoint); err != nil {
-		t.Fatal(err)
-	}
-	// Pruning again is a no-op.
-	removed, err = p.PruneVersions(d.UUID, RetentionPolicy{KeepLast: 2})
-	if err != nil || removed != 0 {
-		t.Fatalf("idempotent prune: %d, %v", removed, err)
-	}
-}
-
-func TestPruneValidation(t *testing.T) {
-	rig := newRig(t, nil)
-	p := rig.platform
-	if _, err := p.PruneVersions("data-x", RetentionPolicy{}); err == nil {
-		t.Fatal("zero retention accepted")
-	}
-	if _, err := p.PruneVersions("data-bogus", RetentionPolicy{KeepLast: 1}); err == nil {
-		t.Fatal("unknown uuid accepted")
-	}
-}
-
 // identityIngestion registers an ingestion flow named name over a fresh
 // source serving "v1", with an identity transform.
 func identityIngestion(t *testing.T, rig *testRig, name string) *IngestionFlow {

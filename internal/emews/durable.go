@@ -17,7 +17,7 @@ import (
 // taskMutation routed through applyLocked, the single transition function.
 // The live path first decides the transition (fence checks, retry budget,
 // assigned IDs and timestamps, so the record is fully deterministic),
-// persists it through the optional wal.Backend, then applies it. A batch
+// persists it through the optional WAL, then applies it. A batch
 // op (SubmitBatch, PopBatch, finishBatch) decides all of its mutations,
 // persists them as one commit, then applies them in order: in memory the
 // batch is all-or-none. Side effects — obs metrics, sync.Cond broadcasts,
@@ -171,7 +171,7 @@ func (db *DB) queueFor(taskType string) *taskHeap {
 	return q
 }
 
-// persistLocked writes ms through the backend (if any) as one commit: a
+// persistLocked writes ms through the WAL (if any) as one commit: a
 // single Append, so one write and at most one fsync for the whole group.
 // It applies nothing; the caller applies each mutation with applyLocked
 // only after persistLocked succeeded, so memory never runs ahead of the
@@ -179,7 +179,7 @@ func (db *DB) queueFor(taskType string) *taskHeap {
 // disk, which recovery replays like any other history. The caller holds
 // db.mu.
 func (db *DB) persistLocked(ms []taskMutation) error {
-	if db.backend == nil || len(ms) == 0 {
+	if db.wal == nil || len(ms) == 0 {
 		return nil
 	}
 	recs := make([][]byte, len(ms))
@@ -190,7 +190,7 @@ func (db *DB) persistLocked(ms []taskMutation) error {
 		}
 		recs[i] = rec
 	}
-	if err := db.backend.Append(recs...); err != nil {
+	if err := db.wal.Append(recs...); err != nil {
 		return fmt.Errorf("emews: wal append: %w", err)
 	}
 	return nil
@@ -255,11 +255,9 @@ func (db *DB) loadSnapshot(b []byte) error {
 
 // OpenDB recovers a task database from a WAL: the newest snapshot is
 // loaded, the remaining mutations are replayed through the same
-// applyLocked the live path uses, and the log becomes the database's
-// persistence backend. Because leases do not survive a restart, every
-// task left Running by the dead process is requeued (epoch bumped so any
-// straggler claim is fenced off) — and that requeue is itself committed
-// to the log. The log must come straight from wal.Open (not yet
+// applyLocked the live path uses, and the database becomes the primary
+// behind the log (see becomePrimary: orphaned Running tasks are requeued
+// through the log). The log must come straight from wal.Open (not yet
 // replayed).
 func OpenDB(l *wal.Log) (*DB, error) {
 	return OpenDBShard(l, 0, 1)
@@ -291,15 +289,29 @@ func OpenDBShard(l *wal.Log, index, count int) (*DB, error) {
 		return nil, err
 	}
 
+	if err := db.becomePrimary(l); err != nil {
+		return nil, err
+	}
+	return db, nil
+}
+
+// becomePrimary makes a database rebuilt from a log, by replay (OpenDB)
+// or by replication (Follower.Promote), the live primary behind that log.
+// Leases do not survive the old primary, so every task it left Running is
+// requeued with its epoch bumped, and the requeue is committed through the
+// log so claims the old primary handed out are fenced off (ErrStaleClaim).
+// Replay and replication apply without side effects, so the futures of
+// terminal tasks are settled here and the additive occupancy gauges are
+// re-armed for the population. (Counters are per-process and deliberately
+// not restored.)
+func (db *DB) becomePrimary(l *wal.Log) error {
 	db.mu.Lock()
 	defer db.mu.Unlock()
-	// A logged clean close canceled the queued tasks it saw; the reopened
-	// database accepts work again.
+	// A logged or replicated clean close canceled the queued tasks it saw;
+	// the new primary accepts work again.
 	db.closed = false
-	db.backend = l
 	db.wal = l
 
-	// Requeue orphaned Running tasks, committing the transition.
 	var running []int64
 	for id, t := range db.tasks {
 		if t.Status == StatusRunning {
@@ -309,12 +321,11 @@ func OpenDBShard(l *wal.Log, index, count int) (*DB, error) {
 	sort.Slice(running, func(i, j int) bool { return running[i] < running[j] })
 	if len(running) > 0 {
 		if _, err := db.commitLocked(taskMutation{Op: opRequeue, IDs: running}); err != nil {
-			return nil, err
+			return err
 		}
 		mTaskRecovered.Add(int64(len(running)))
 	}
 
-	// Settle futures of terminal tasks so Result/Done work immediately.
 	for id, t := range db.tasks {
 		switch t.Status {
 		case StatusComplete, StatusFailed, StatusCanceled:
@@ -328,11 +339,9 @@ func OpenDBShard(l *wal.Log, index, count int) (*DB, error) {
 		}
 	}
 
-	// Re-arm additive occupancy gauges for the recovered population.
-	// (Counters are per-process and deliberately not restored.)
 	mQueueDepth.Add(int64(db.stats.Queued))
 	mRunningNow.Add(int64(db.stats.Running))
-	return db, nil
+	return nil
 }
 
 // Compact writes a full-state snapshot and truncates the log behind it,

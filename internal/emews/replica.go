@@ -20,7 +20,7 @@
 //     OSPREY targets, where the WAL outlives its writer. After CatchUp the
 //     follower has every mutation the primary ever acknowledged.
 //  3. Promote() turns the replica into a primary: its own log becomes the
-//     persistence backend, every task left Running by the dead primary is
+//     database's WAL, every task left Running by the dead primary is
 //     requeued with an epoch bump — committed through the log like any
 //     other mutation — so straggler claims against the old primary resolve
 //     as ErrStaleClaim, exactly as they would after a crash-restart.
@@ -38,7 +38,6 @@ import (
 	"errors"
 	"fmt"
 	"os"
-	"sort"
 	"sync"
 	"time"
 
@@ -359,10 +358,9 @@ func (f *Follower) CatchUp(primaryDir string) error {
 
 // Promote turns the caught-up replica into a primary and returns its
 // database (backed by the follower's own log) ready to Serve. It stops
-// the tail loop if still running, then — like OpenDB after a crash —
-// requeues every task the dead primary left Running, committing the
-// epoch-bumping requeue through the log so claims handed out by the old
-// primary are fenced off (ErrStaleClaim) on the new one.
+// the tail loop if still running, then, like OpenDB after a crash, makes
+// the replica the primary behind its log (see becomePrimary), so claims
+// handed out by the old primary are fenced off (ErrStaleClaim).
 //
 // The returned log is owned by the caller: close the DB (or the serving
 // stack) and then the log on shutdown. The Follower itself is spent.
@@ -378,46 +376,9 @@ func (f *Follower) Promote() (*DB, *wal.Log, error) {
 	f.mu.Unlock()
 	f.cl.Close()
 
-	db.mu.Lock()
-	// A replicated opDBClose marked the replica closed; promotion reopens
-	// for business, mirroring OpenDB's crash-restart behavior.
-	db.closed = false
-	db.backend = l
-	db.wal = l
-	var running []int64
-	for id, t := range db.tasks {
-		if t.Status == StatusRunning {
-			running = append(running, id)
-		}
+	if err := db.becomePrimary(l); err != nil {
+		return nil, nil, err
 	}
-	sort.Slice(running, func(i, j int) bool { return running[i] < running[j] })
-	if len(running) > 0 {
-		if _, err := db.commitLocked(taskMutation{Op: opRequeue, IDs: running}); err != nil {
-			db.mu.Unlock()
-			return nil, nil, err
-		}
-		mTaskRecovered.Add(int64(len(running)))
-	}
-	// Settle futures of terminal tasks so Result/Done work immediately
-	// (replication applies mutations without side effects, like replay).
-	for id, t := range db.tasks {
-		switch t.Status {
-		case StatusComplete, StatusFailed, StatusCanceled:
-			if fut := db.futures[id]; fut != nil {
-				select {
-				case <-fut.done:
-				default:
-					close(fut.done)
-				}
-			}
-		}
-	}
-	queued, runningNow := db.stats.Queued, db.stats.Running
-	db.mu.Unlock()
-	// Re-arm additive occupancy gauges for the promoted population, the
-	// same way OpenDB does for a recovered one.
-	mQueueDepth.Add(int64(queued))
-	mRunningNow.Add(int64(runningNow))
 	return db, l, nil
 }
 

@@ -136,7 +136,7 @@ type Stats struct {
 
 // DB is the EMEWS task database. All methods are safe for concurrent use.
 // Every mutation flows through a typed taskMutation record (see
-// durable.go); when a wal.Backend is attached the record is persisted
+// durable.go); when a WAL is attached the record is persisted
 // before it is applied, and crash recovery replays the same records
 // through the same transition function.
 type DB struct {
@@ -152,8 +152,7 @@ type DB struct {
 	// leaseTimeout, when positive, bounds how long a popped task may run
 	// before ReapExpired reclaims it (see lease.go).
 	leaseTimeout time.Duration
-	backend      wal.Backend // nil = in-memory only (the default)
-	wal          *wal.Log    // set by OpenDB; enables Compact
+	wal          *wal.Log // set by OpenDB; nil = in-memory only (the default)
 	// pending is the reused scratch a batch op stages its mutations in
 	// between deciding and committing them, so batching allocates nothing
 	// per op. Guarded by mu; empty between ops.
@@ -707,9 +706,9 @@ func (db *DB) Close() {
 		return
 	}
 	m := &taskMutation{Op: opDBClose, At: time.Now()}
-	if db.backend != nil {
+	if db.wal != nil {
 		if rec, err := json.Marshal(m); err == nil {
-			_ = db.backend.Append(rec)
+			_ = db.wal.Append(rec)
 		}
 	}
 	res, _ := db.applyLocked(m)

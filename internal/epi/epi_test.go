@@ -264,81 +264,3 @@ func BenchmarkCoriEstimate(b *testing.B) {
 		}
 	}
 }
-
-func TestStochasticSEIRConservation(t *testing.T) {
-	p := SEIRParams{Beta: 0.4, Sigma: 1.0 / 3, Gamma: 1.0 / 5, N: 10000}
-	init := SEIRState{S: 9900, I: 100}
-	res, err := SEIRSimulateStochastic(p, init, 150, rng.New(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for d, st := range res.Days {
-		tot := st.S + st.E + st.I + st.R
-		if tot != 10000 {
-			t.Fatalf("day %d population %v", d, tot)
-		}
-		if st.S < 0 || st.E < 0 || st.I < 0 || st.R < 0 {
-			t.Fatalf("negative compartment on day %d", d)
-		}
-	}
-}
-
-func TestStochasticSEIRMatchesODEOnAverage(t *testing.T) {
-	p := SEIRParams{Beta: 0.4, Sigma: 1.0 / 3, Gamma: 1.0 / 5, N: 100000}
-	init := SEIRState{S: 99000, I: 1000}
-	det := SEIRSimulate(p, init, 100)
-	root := rng.New(2)
-	nRep := 40
-	avgR := 0.0
-	for rep := 0; rep < nRep; rep++ {
-		res, err := SEIRSimulateStochastic(p, init, 100, root.Split(string(rune('a'+rep))))
-		if err != nil {
-			t.Fatal(err)
-		}
-		avgR += res.Days[100].R / float64(nRep)
-	}
-	rel := math.Abs(avgR-det[100].R) / det[100].R
-	if rel > 0.1 {
-		t.Fatalf("stochastic mean final R deviates %.1f%% from ODE", rel*100)
-	}
-}
-
-func TestStochasticSEIRValidation(t *testing.T) {
-	p := SEIRParams{Beta: 0.4, Sigma: 1.0 / 3, Gamma: 1.0 / 5, N: 100}
-	if _, err := SEIRSimulateStochastic(p, SEIRState{S: 90, I: 10}, 10, nil); err == nil {
-		t.Fatal("nil stream accepted")
-	}
-	if _, err := SEIRSimulateStochastic(p, SEIRState{S: -5, I: 10}, 10, rng.New(1)); err == nil {
-		t.Fatal("negative init accepted")
-	}
-	bad := p
-	bad.Gamma = 0
-	if _, err := SEIRSimulateStochastic(bad, SEIRState{S: 90, I: 10}, 10, rng.New(1)); err == nil {
-		t.Fatal("zero gamma accepted")
-	}
-}
-
-func TestExtinctionProbabilityNearTheory(t *testing.T) {
-	// R0 = 2 from a single seed: extinction probability ~ 1/R0 = 0.5.
-	p := SEIRParams{Beta: 0.4, Sigma: 1.0 / 2, Gamma: 1.0 / 5, N: 1e6}
-	init := SEIRState{S: 1e6 - 1, I: 1}
-	got, err := ExtinctionProbability(p, init, 200, 400, rng.New(3))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(got-0.5) > 0.12 {
-		t.Fatalf("extinction probability %v, want ~0.5 for R0=2", got)
-	}
-}
-
-func TestExtinctionNeverForBigSeed(t *testing.T) {
-	p := SEIRParams{Beta: 0.5, Sigma: 1.0 / 3, Gamma: 1.0 / 5, N: 1e6}
-	init := SEIRState{S: 1e6 - 500, I: 500}
-	got, err := ExtinctionProbability(p, init, 100, 50, rng.New(4))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got > 0.02 {
-		t.Fatalf("large seed extinction probability %v", got)
-	}
-}

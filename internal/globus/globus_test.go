@@ -73,11 +73,8 @@ func TestEndpointPutGetListDelete(t *testing.T) {
 	if paths[0] != "raw/calumet.csv" {
 		t.Fatal("List not sorted")
 	}
-	if err := e.Delete("ww", "raw/obrien.csv", "alice"); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := e.Get("ww", "raw/obrien.csv", "alice"); !errors.Is(err, ErrNotFound) {
-		t.Fatalf("deleted file error = %v", err)
+	if _, err := e.Get("ww", "raw/missing.csv", "alice"); !errors.Is(err, ErrNotFound) {
+		t.Fatalf("missing file error = %v", err)
 	}
 }
 

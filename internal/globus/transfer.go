@@ -115,21 +115,6 @@ func (e *Endpoint) Get(coll, path, identity string) ([]byte, error) {
 	return append([]byte(nil), data...), nil
 }
 
-// Delete removes the file at path.
-func (e *Endpoint) Delete(coll, path, identity string) error {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	c, err := e.check(coll, identity, PermReadWrite)
-	if err != nil {
-		return err
-	}
-	if _, ok := c.files[path]; !ok {
-		return fmt.Errorf("%w: %s/%s:%s", ErrNotFound, e.Name, coll, path)
-	}
-	delete(c.files, path)
-	return nil
-}
-
 // List returns the paths in a collection, optionally filtered by prefix,
 // sorted lexicographically.
 func (e *Endpoint) List(coll, prefix, identity string) ([]string, error) {
@@ -283,11 +268,6 @@ func (s *TransferService) Task(id string) (*TransferTask, error) {
 	}
 	return t, nil
 }
-
-// EndpointName returns the endpoint's name; it satisfies the handle
-// interfaces of consumers (e.g. AERO retention) without exposing fields
-// through an interface.
-func (e *Endpoint) EndpointName() string { return e.Name }
 
 // SubmitPrefix transfers every file under srcPrefix in the source
 // collection to the destination collection, rewriting srcPrefix to

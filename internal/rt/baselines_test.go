@@ -124,62 +124,3 @@ func BenchmarkCoriFromWastewater(b *testing.B) {
 		}
 	}
 }
-
-func TestForecastBandsWidenWithHorizon(t *testing.T) {
-	days := 80
-	s := genSeries(t, days, 31)
-	est, err := EstimateGoldstein(s.Observations, s.Plant, days, fastOpts(31))
-	if err != nil {
-		t.Fatal(err)
-	}
-	f, err := est.ForecastRt(14, 0, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(f.Days) != 14 || f.Days[0] != days {
-		t.Fatalf("forecast axis wrong: first day %d, want %d", f.Days[0], days)
-	}
-	// Continuity: the first forecast median is near the last estimate.
-	if math.Abs(f.Median[0]-est.Median[days-1]) > 0.25 {
-		t.Fatalf("forecast discontinuous: %v vs %v", f.Median[0], est.Median[days-1])
-	}
-	// Compounding uncertainty: bands widen with horizon.
-	if f.BandWidthAt(13) <= f.BandWidthAt(0) {
-		t.Fatalf("bands did not widen: day0 %v vs day13 %v", f.BandWidthAt(0), f.BandWidthAt(13))
-	}
-	for d := range f.Days {
-		if !(f.Lower[d] <= f.Median[d] && f.Median[d] <= f.Upper[d]) {
-			t.Fatalf("forecast band ordering violated at step %d", d)
-		}
-		if f.Lower[d] <= 0 {
-			t.Fatalf("nonpositive forecast lower bound at step %d", d)
-		}
-	}
-}
-
-func TestForecastValidation(t *testing.T) {
-	est := &Estimate{Days: []int{0, 1}}
-	if _, err := est.ForecastRt(5, 0, 1); err == nil {
-		t.Fatal("forecast without draws accepted")
-	}
-	est.Draws = [][]float64{{1, 1}}
-	if _, err := est.ForecastRt(0, 0, 1); err == nil {
-		t.Fatal("zero horizon accepted")
-	}
-}
-
-func TestForecastDeterministicGivenSeed(t *testing.T) {
-	days := 70
-	s := genSeries(t, days, 32)
-	est, err := EstimateGoldstein(s.Observations, s.Plant, days, fastOpts(32))
-	if err != nil {
-		t.Fatal(err)
-	}
-	a, _ := est.ForecastRt(7, 0, 9)
-	b, _ := est.ForecastRt(7, 0, 9)
-	for d := range a.Median {
-		if a.Median[d] != b.Median[d] {
-			t.Fatal("same-seed forecasts differ")
-		}
-	}
-}

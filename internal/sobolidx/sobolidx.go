@@ -14,7 +14,6 @@ import (
 	"osprey/internal/design"
 	"osprey/internal/parallel"
 	"osprey/internal/rng"
-	"osprey/internal/stats"
 )
 
 // Func is a deterministic model (or surrogate posterior mean) on the unit
@@ -263,125 +262,4 @@ func clamp01(v float64) float64 {
 		return 1
 	}
 	return v
-}
-
-// FirstOrderFromSurrogate is a convenience wrapper estimating first-order
-// indices from a surrogate's posterior-mean predictor, matching the MUSIC
-// algorithm's inner index evaluation. It uses the quasi-random design with
-// the given base sample size.
-func FirstOrderFromSurrogate(predict Func, d, n int) ([]float64, error) {
-	res, err := Estimate(predict, d, Options{N: n, Clamp01: true})
-	if err != nil {
-		return nil, err
-	}
-	return res.First, nil
-}
-
-// ResultWithSE augments Result with bootstrap standard errors per index —
-// the uncertainty MUSIC's acquisition is named for (Minimize Uncertainty
-// in Sobol Index Convergence).
-type ResultWithSE struct {
-	Result
-	FirstSE []float64
-	TotalSE []float64
-}
-
-// EstimateWithSE computes indices plus bootstrap standard errors by
-// resampling the pick–freeze rows with replacement nBoot times (default
-// 200). The model is evaluated exactly as in Estimate — the bootstrap
-// reuses the stored evaluations, so it adds no model runs.
-func EstimateWithSE(f Func, d int, opts Options, nBoot int, boot *rng.Stream) (*ResultWithSE, error) {
-	if nBoot <= 0 {
-		nBoot = 200
-	}
-	if boot == nil {
-		boot = rng.New(1).Split("sobol-bootstrap")
-	}
-	// Re-run the pick–freeze design, caching all evaluations.
-	dg, err := NewDesign(d, opts.N, opts.Rand)
-	if err != nil {
-		return nil, err
-	}
-	n := dg.N
-	opts.N = n
-	fa := make([]float64, n)
-	fb := make([]float64, n)
-	evalInto(f, dg.a, fa, opts.Concurrent)
-	evalInto(f, dg.b, fb, opts.Concurrent)
-	fabi := make([][]float64, d)
-	for i := 0; i < d; i++ {
-		fabi[i] = make([]float64, n)
-		evalInto(f, dg.block(i), fabi[i], opts.Concurrent)
-	}
-
-	// Estimators over an index subset (identity = the point estimate).
-	compute := func(rows []int) ([]float64, []float64, float64, float64) {
-		mean := 0.0
-		for _, j := range rows {
-			mean += fa[j] + fb[j]
-		}
-		mean /= float64(2 * len(rows))
-		variance := 0.0
-		for _, j := range rows {
-			da := fa[j] - mean
-			db := fb[j] - mean
-			variance += da*da + db*db
-		}
-		variance /= float64(2*len(rows) - 1)
-		first := make([]float64, d)
-		total := make([]float64, d)
-		if variance <= 0 {
-			return first, total, mean, variance
-		}
-		for i := 0; i < d; i++ {
-			vi, vti := 0.0, 0.0
-			for _, j := range rows {
-				vi += fb[j] * (fabi[i][j] - fa[j])
-				dt := fa[j] - fabi[i][j]
-				vti += dt * dt
-			}
-			first[i] = vi / float64(len(rows)) / variance
-			total[i] = vti / float64(2*len(rows)) / variance
-			if opts.Clamp01 {
-				first[i] = clamp01(first[i])
-				total[i] = clamp01(total[i])
-			}
-		}
-		return first, total, mean, variance
-	}
-
-	identity := make([]int, n)
-	for i := range identity {
-		identity[i] = i
-	}
-	first, total, mean, variance := compute(identity)
-	out := &ResultWithSE{
-		Result:  Result{First: first, Total: total, Mean: mean, Variance: variance, N: n},
-		FirstSE: make([]float64, d),
-		TotalSE: make([]float64, d),
-	}
-
-	// Bootstrap.
-	bootFirst := make([][]float64, d)
-	bootTotal := make([][]float64, d)
-	for i := 0; i < d; i++ {
-		bootFirst[i] = make([]float64, nBoot)
-		bootTotal[i] = make([]float64, nBoot)
-	}
-	rows := make([]int, n)
-	for rep := 0; rep < nBoot; rep++ {
-		for j := range rows {
-			rows[j] = boot.Intn(n)
-		}
-		bf, bt, _, _ := compute(rows)
-		for i := 0; i < d; i++ {
-			bootFirst[i][rep] = bf[i]
-			bootTotal[i][rep] = bt[i]
-		}
-	}
-	for i := 0; i < d; i++ {
-		out.FirstSE[i] = stats.StdDev(bootFirst[i])
-		out.TotalSE[i] = stats.StdDev(bootTotal[i])
-	}
-	return out, nil
 }

@@ -149,73 +149,10 @@ func TestDimensionValidation(t *testing.T) {
 	}
 }
 
-func TestFirstOrderFromSurrogate(t *testing.T) {
-	f := func(x []float64) float64 { return 5 * x[1] }
-	s, err := FirstOrderFromSurrogate(f, 3, 2048)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s[1] < 0.97 || s[0] > 0.02 || s[2] > 0.02 {
-		t.Fatalf("surrogate indices wrong: %v", s)
-	}
-	for _, v := range s {
-		if v < 0 || v > 1 {
-			t.Fatalf("clamped index out of range: %v", v)
-		}
-	}
-}
-
 func BenchmarkEstimateIshigami(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if _, err := Estimate(ishigami, 3, Options{N: 1024}); err != nil {
 			b.Fatal(err)
-		}
-	}
-}
-
-func TestEstimateWithSEMatchesPointEstimate(t *testing.T) {
-	res, err := EstimateWithSE(ishigami, 3, Options{N: 2048, Clamp01: true}, 100, rng.New(2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	plain, err := Estimate(ishigami, 3, Options{N: 2048, Clamp01: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range plain.First {
-		if math.Abs(res.First[i]-plain.First[i]) > 1e-12 {
-			t.Fatalf("point estimate differs from Estimate: %v vs %v", res.First[i], plain.First[i])
-		}
-	}
-	for i := range res.FirstSE {
-		if res.FirstSE[i] <= 0 || res.TotalSE[i] <= 0 {
-			t.Fatalf("non-positive SE at %d: %v / %v", i, res.FirstSE[i], res.TotalSE[i])
-		}
-	}
-}
-
-func TestBootstrapSEShrinksWithN(t *testing.T) {
-	f := func(x []float64) float64 { return x[0] + 2*x[1] }
-	small, err := EstimateWithSE(f, 2, Options{N: 256}, 150, rng.New(3))
-	if err != nil {
-		t.Fatal(err)
-	}
-	large, err := EstimateWithSE(f, 2, Options{N: 4096}, 150, rng.New(3))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 2; i++ {
-		if large.FirstSE[i] >= small.FirstSE[i] {
-			t.Fatalf("SE did not shrink with N: %v (n=256) vs %v (n=4096)",
-				small.FirstSE[i], large.FirstSE[i])
-		}
-	}
-	// The SE should roughly cover the true estimation error.
-	truth := []float64{1.0 / 5, 4.0 / 5}
-	for i := range truth {
-		errAbs := math.Abs(large.First[i] - truth[i])
-		if errAbs > 6*large.FirstSE[i]+0.02 {
-			t.Fatalf("error %v at %d far beyond reported SE %v", errAbs, i, large.FirstSE[i])
 		}
 	}
 }

@@ -292,20 +292,15 @@ func GelmanRubin(chains [][]float64) float64 {
 	return math.Sqrt(vHat / w)
 }
 
-// WeightedQuantile returns the q-quantile of the weighted empirical
+// WeightedQuantiles returns the qs-quantiles of the weighted empirical
 // distribution defined by values xs and nonnegative weights ws, using the
-// inverse of the weighted ECDF with midpoint convention. It is the
-// aggregation primitive behind the population-weighted ensemble R(t).
-func WeightedQuantile(xs, ws []float64, q float64) float64 {
-	return WeightedQuantiles(xs, ws, q)[0]
-}
-
-// WeightedQuantiles returns WeightedQuantile(xs, ws, q) for each of qs,
-// sorting xs once for all of them. Empty input, a negative weight or a
-// nonpositive total gives NaN for every q; a q outside [0,1] panics.
+// inverse of the weighted ECDF with midpoint convention, sorting xs once for
+// all of them. It is the aggregation primitive behind the population-weighted
+// ensemble R(t). Empty input, a negative weight or a nonpositive total gives
+// NaN for every q; a q outside [0,1] panics.
 func WeightedQuantiles(xs, ws []float64, qs ...float64) []float64 {
 	if len(xs) != len(ws) {
-		panic("stats: WeightedQuantile length mismatch")
+		panic("stats: WeightedQuantiles length mismatch")
 	}
 	out := make([]float64, len(qs))
 	for k := range out {

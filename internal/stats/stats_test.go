@@ -234,13 +234,13 @@ func TestGelmanRubinRequiresTwoChains(t *testing.T) {
 func TestWeightedQuantileUnweightedMatchesOrder(t *testing.T) {
 	xs := []float64{5, 1, 3, 2, 4}
 	ws := []float64{1, 1, 1, 1, 1}
-	if got := WeightedQuantile(xs, ws, 0.5); got != 3 {
+	if got := WeightedQuantiles(xs, ws, 0.5)[0]; got != 3 {
 		t.Fatalf("weighted median = %v, want 3", got)
 	}
-	if got := WeightedQuantile(xs, ws, 0); got != 1 {
+	if got := WeightedQuantiles(xs, ws, 0)[0]; got != 1 {
 		t.Fatalf("q=0 gives %v, want 1", got)
 	}
-	if got := WeightedQuantile(xs, ws, 1); got != 5 {
+	if got := WeightedQuantiles(xs, ws, 1)[0]; got != 5 {
 		t.Fatalf("q=1 gives %v, want 5", got)
 	}
 }
@@ -249,22 +249,22 @@ func TestWeightedQuantileRespectsWeights(t *testing.T) {
 	// 90% of the mass at 10, 10% at 0: the median must be 10.
 	xs := []float64{0, 10}
 	ws := []float64{1, 9}
-	if got := WeightedQuantile(xs, ws, 0.5); got != 10 {
+	if got := WeightedQuantiles(xs, ws, 0.5)[0]; got != 10 {
 		t.Fatalf("weighted median = %v, want 10", got)
 	}
-	if got := WeightedQuantile(xs, ws, 0.05); got != 0 {
+	if got := WeightedQuantiles(xs, ws, 0.05)[0]; got != 0 {
 		t.Fatalf("q=0.05 = %v, want 0", got)
 	}
 }
 
 func TestWeightedQuantileDegenerate(t *testing.T) {
-	if !math.IsNaN(WeightedQuantile(nil, nil, 0.5)) {
+	if !math.IsNaN(WeightedQuantiles(nil, nil, 0.5)[0]) {
 		t.Fatal("empty input should give NaN")
 	}
-	if !math.IsNaN(WeightedQuantile([]float64{1}, []float64{0}, 0.5)) {
+	if !math.IsNaN(WeightedQuantiles([]float64{1}, []float64{0}, 0.5)[0]) {
 		t.Fatal("zero total weight should give NaN")
 	}
-	if !math.IsNaN(WeightedQuantile([]float64{1, 2}, []float64{1, -1}, 0.5)) {
+	if !math.IsNaN(WeightedQuantiles([]float64{1, 2}, []float64{1, -1}, 0.5)[0]) {
 		t.Fatal("negative weight should give NaN")
 	}
 }

@@ -42,16 +42,6 @@ import (
 	"time"
 )
 
-// Backend is the minimal persistence hook a store routes its mutation
-// records through. The in-memory default is no backend at all (a nil
-// interface); *Log is the durable implementation.
-type Backend interface {
-	// Append durably records serialized mutations as one commit. A
-	// mutation must not be applied to in-memory state unless Append
-	// succeeded (fail-stop).
-	Append(recs ...[]byte) error
-}
-
 // SyncPolicy selects when appended records are fsynced.
 type SyncPolicy int
 
@@ -351,10 +341,11 @@ func (l *Log) Replay(apply func(rec []byte) error) (int, error) {
 	return count, nil
 }
 
-// Append durably appends recs as one commit (implementing Backend): all
-// records are framed into one buffer and written with a single syscall,
-// and the fsync policy is applied once for the whole call. A record over
-// MaxRecordBytes rejects the call before anything is written.
+// Append durably appends recs as one commit: all records are framed into
+// one buffer and written with a single syscall, and the fsync policy is
+// applied once for the whole call. A record over MaxRecordBytes rejects the
+// call before anything is written. The stores built on a Log are
+// fail-stop: a mutation is applied to memory only after Append succeeded.
 func (l *Log) Append(recs ...[]byte) error {
 	l.mu.Lock()
 	defer l.mu.Unlock()

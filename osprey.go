@@ -137,6 +137,3 @@ type ABMConfig = abm.Config
 // counterpart of MetaRVM, sharing its disease states and Table 1
 // parameterization.
 func RunABM(cfg ABMConfig) (*abm.Result, error) { return abm.Run(cfg) }
-
-// ForecastRt is re-exported for projecting an estimate beyond its window.
-type ForecastRt = rt.Forecast
