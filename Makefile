@@ -80,7 +80,7 @@ race-lifecycle:
 	$(GO) test -race ./internal/emews/... ./internal/scheduler/... ./internal/wal/... ./internal/aero/... ./internal/parallel/... ./internal/chaos/... ./internal/loadgen/...
 
 race-numerics:
-	$(GO) test -race -run 'SerialParallel|Parallel|Incremental|MeanCache|Predictor|Concurrent' ./internal/gp/ ./internal/music/ ./internal/sobolidx/ ./internal/rt/ ./internal/core/ ./internal/linalg/
+	$(GO) test -race -run 'SerialParallel|Parallel|Incremental|MeanCache|Predictor|Concurrent|Interleav|RunGSA' ./internal/gp/ ./internal/music/ ./internal/sobolidx/ ./internal/rt/ ./internal/core/ ./internal/linalg/
 
 # End-to-end CLI smoke: a daemon on a temp -data-dir driven through real
 # ospreyctl subcommands (exit codes + JSON shapes), the daemon's own

@@ -1,7 +1,9 @@
 package core
 
 import (
+	"fmt"
 	"math"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -302,13 +304,127 @@ func TestInterleavingUtilization(t *testing.T) {
 		t.Fatalf("interleaving did not improve utilization: %.1f%% vs %.1f%%",
 			intRes.Pool.UtilizationPct, seqRes.Pool.UtilizationPct)
 	}
-	// Determinism of results must not depend on scheduling mode.
+	// Results must not depend on scheduling mode, to the bit: every
+	// replicate's final indices and its whole convergence history.
+	if len(intRes.FinalIndices) != len(seqRes.FinalIndices) || len(intRes.Histories) != len(seqRes.Histories) {
+		t.Fatalf("replicate counts differ: %d/%d vs %d/%d", len(intRes.FinalIndices), len(intRes.Histories),
+			len(seqRes.FinalIndices), len(seqRes.Histories))
+	}
 	for r := range seqRes.FinalIndices {
-		for j := range seqRes.FinalIndices[r] {
-			if math.Abs(seqRes.FinalIndices[r][j]-intRes.FinalIndices[r][j]) > 1e-9 {
-				t.Fatal("interleaved and sequential GSA disagree on results")
+		if msg := diffBits(seqRes.FinalIndices[r], intRes.FinalIndices[r]); msg != "" {
+			t.Fatalf("replicate %d final indices: %s", r, msg)
+		}
+		seqH, intH := seqRes.Histories[r], intRes.Histories[r]
+		if len(seqH) != len(intH) {
+			t.Fatalf("replicate %d: %d snapshots sequential, %d interleaved", r, len(seqH), len(intH))
+		}
+		for k := range seqH {
+			if seqH[k].N != intH[k].N {
+				t.Fatalf("replicate %d snapshot %d: N %d vs %d", r, k, seqH[k].N, intH[k].N)
+			}
+			if msg := diffBits(seqH[k].Indices, intH[k].Indices); msg != "" {
+				t.Fatalf("replicate %d snapshot %d indices: %s", r, k, msg)
+			}
+			if msg := diffBits(seqH[k].Total, intH[k].Total); msg != "" {
+				t.Fatalf("replicate %d snapshot %d total indices: %s", r, k, msg)
 			}
 		}
+	}
+}
+
+// diffBits describes the first difference between two vectors compared
+// bit for bit, or returns "" when they are identical.
+func diffBits(want, got []float64) string {
+	if len(want) != len(got) {
+		return fmt.Sprintf("length %d vs %d", len(want), len(got))
+	}
+	for i := range want {
+		if math.Float64bits(want[i]) != math.Float64bits(got[i]) {
+			return fmt.Sprintf("entry %d: %v vs %v", i, want[i], got[i])
+		}
+	}
+	return ""
+}
+
+// TestRunGSAStopsOnFirstError breaks an interleaved study once refinement
+// is under way, either by failing one instance's task or by closing the
+// task database. RunGSA must return that error promptly, not a
+// cancellation; when one task fails, the other instances must stop too
+// rather than run out their budgets; and every instance goroutine must
+// have exited by the time RunGSA returns.
+func TestRunGSAStopsOnFirstError(t *testing.T) {
+	if testing.Short() {
+		t.Skip("integration test")
+	}
+	for _, tc := range []struct {
+		name       string
+		breakStudy func(t *testing.T, p *Platform, taskType string)
+		want       string
+	}{
+		{"task fails", func(t *testing.T, p *Platform, taskType string) {
+			for deadline := time.Now().Add(10 * time.Second); time.Now().Before(deadline); {
+				c, ok, err := p.TaskDB.TryPop(taskType)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if ok {
+					if err := c.Fail("injected failure"); err != nil {
+						t.Fatal(err)
+					}
+					return
+				}
+				time.Sleep(100 * time.Microsecond)
+			}
+			t.Fatal("no queued task to fail within 10s")
+		}, "injected failure"},
+		{"database closes", func(t *testing.T, p *Platform, _ string) {
+			p.TaskDB.Close()
+		}, "emews:"}, // a canceled task or the closed database, not context.Canceled
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			p := newPlatform(t)
+			cfg := fastGSAConfig(4)
+			cfg.Music.Budget = 200
+			// One slow worker keeps tasks queued, so the test can claim one.
+			cfg.Nodes, cfg.WorkersPerNode = 1, 1
+			cfg.ModelDelay = 2 * time.Millisecond
+			if err := cfg.defaults(); err != nil {
+				t.Fatal(err)
+			}
+			done := make(chan error, 1)
+			go func() {
+				_, err := RunGSA(p, cfg, true)
+				done <- err
+			}()
+			initial := cfg.Replicates * cfg.Music.InitialDesign
+			for p.TaskDB.Stats().Complete < initial+cfg.Replicates {
+				select {
+				case err := <-done:
+					t.Fatalf("study ended before it was broken: %v", err)
+				case <-time.After(time.Millisecond):
+				}
+			}
+			tc.breakStudy(t, p, cfg.TaskType)
+			var err error
+			select {
+			case err = <-done:
+			case <-time.After(10 * time.Second):
+				t.Fatal("RunGSA still running 10s after the study broke")
+			}
+			if err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("RunGSA returned %v, want the %q error", err, tc.want)
+			}
+			// Without cancellation the healthy instances would run to
+			// their budgets; with it each submits at most one more point.
+			if n, full := p.TaskDB.Stats().Submitted, (cfg.Replicates-1)*cfg.Music.Budget; n >= full {
+				t.Fatalf("%d tasks submitted: the other instances ran on after the error", n)
+			}
+			// RunGSA waits for its instance goroutines, so none may remain.
+			buf := make([]byte, 1<<20)
+			if stacks := string(buf[:runtime.Stack(buf, true)]); strings.Contains(stacks, "core.drainInstance") {
+				t.Fatalf("an instance goroutine outlived RunGSA:\n%s", stacks)
+			}
+		})
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"sync"
 	"time"
 
 	"osprey/internal/abm"
@@ -121,12 +122,14 @@ type GSAResult struct {
 	Evaluations int
 }
 
-// instanceState tracks one interleaved MUSIC instance.
+// instanceState tracks one MUSIC instance. Only the goroutine driving the
+// instance touches it.
 type instanceState struct {
 	alg     *music.Algorithm
 	pending []*emews.Future
 	points  [][]float64 // points matching pending futures
 	seed    uint64      // MetaRVM replicate seed
+	evals   int         // tasks submitted
 }
 
 // modelEvaluator selects the simulator behind the worker pool.
@@ -179,9 +182,10 @@ func modelHandler(evaluate func([]float64, uint64) (float64, error), delay time.
 }
 
 // RunGSA executes the replicated MUSIC study. When interleaved is true the
-// instances share the pool cooperatively (the paper's design); when false
-// each instance runs to completion before the next starts (the ablation
-// whose poor utilization motivates interleaving).
+// instances run concurrently, one goroutine each, over the shared pool (the
+// paper's design); when false each instance runs to completion before the
+// next starts (the ablation whose poor utilization motivates interleaving).
+// Both modes choose the same points and return the same indices.
 func RunGSA(p *Platform, cfg GSAConfig, interleaved bool) (*GSAResult, error) {
 	if err := cfg.defaults(); err != nil {
 		return nil, err
@@ -220,7 +224,6 @@ func RunGSA(p *Platform, cfg GSAConfig, interleaved bool) (*GSAResult, error) {
 	}
 
 	start := time.Now()
-	evals := 0
 	submit := func(inst *instanceState, pts [][]float64) error {
 		for _, pt := range pts {
 			payload, err := json.Marshal(gsaTask{X: pt, Seed: inst.seed, MeanOver: cfg.MeanReplicates})
@@ -233,12 +236,12 @@ func RunGSA(p *Platform, cfg GSAConfig, interleaved bool) (*GSAResult, error) {
 			}
 			inst.pending = append(inst.pending, f)
 			inst.points = append(inst.points, pt)
-			evals++
+			inst.evals++
 		}
 		return nil
 	}
 	// Seed every instance's initial design (or, sequentially, one at a
-	// time inside the drain loop below).
+	// time, each drained before the next is seeded).
 	for _, inst := range instances {
 		pts, err := inst.alg.InitialDesign()
 		if err != nil {
@@ -248,19 +251,20 @@ func RunGSA(p *Platform, cfg GSAConfig, interleaved bool) (*GSAResult, error) {
 			return nil, err
 		}
 		if !interleaved {
-			if err := drainInstance(p, cfg, inst, submit); err != nil {
+			if err := drainInstance(context.Background(), inst, submit); err != nil {
 				return nil, err
 			}
 		}
 	}
 	if interleaved {
-		if err := interleave(p, cfg, instances, submit); err != nil {
+		if err := interleave(instances, submit); err != nil {
 			return nil, err
 		}
 	}
 
-	res := &GSAResult{Elapsed: time.Since(start), Evaluations: evals}
+	res := &GSAResult{Elapsed: time.Since(start)}
 	for _, inst := range instances {
+		res.Evaluations += inst.evals
 		res.Histories = append(res.Histories, inst.alg.History())
 		idx, err := inst.alg.Indices()
 		if err != nil {
@@ -273,58 +277,42 @@ func RunGSA(p *Platform, cfg GSAConfig, interleaved bool) (*GSAResult, error) {
 	return res, nil
 }
 
-// harvest collects any completed futures of the instance; all-or-nothing
-// batches are observed together so the surrogate sees the full initial
-// design at once.
-func harvest(inst *instanceState, block bool) (done bool, err error) {
+// harvest blocks the instance's goroutine until every pending future of
+// the instance completes, then observes them together: all-or-nothing
+// batches keep the surrogate seeing the full initial design at once, and
+// the observation order is the submission order whatever order the tasks
+// finish in.
+func harvest(ctx context.Context, inst *instanceState) error {
 	if len(inst.pending) == 0 {
-		return true, nil
-	}
-	if block {
-		for _, f := range inst.pending {
-			if _, err := f.Result(context.Background()); err != nil {
-				return false, err
-			}
-		}
-	} else {
-		// The paper's cooperative pattern: check a single future, then
-		// cede control to the next instance.
-		if _, _, finished := inst.pending[0].TryResult(); !finished {
-			return false, nil
-		}
-		for _, f := range inst.pending {
-			if _, _, finished := f.TryResult(); !finished {
-				return false, nil
-			}
-		}
+		return nil
 	}
 	vals := make([]float64, len(inst.pending))
 	for i, f := range inst.pending {
-		s, err := f.Result(context.Background())
+		s, err := f.Result(ctx)
 		if err != nil {
-			return false, err
+			return err
 		}
 		var r gsaResult
 		if err := json.Unmarshal([]byte(s), &r); err != nil {
-			return false, err
+			return err
 		}
 		vals[i] = r.Y
 	}
 	if err := inst.alg.Observe(inst.points, vals); err != nil {
-		return false, err
+		return err
 	}
 	inst.pending = nil
 	inst.points = nil
-	return true, nil
+	return nil
 }
 
 type submitFn func(*instanceState, [][]float64) error
 
-// drainInstance runs one instance to completion, blocking on each batch
-// (the sequential ablation).
-func drainInstance(p *Platform, cfg GSAConfig, inst *instanceState, submit submitFn) error {
+// drainInstance runs one instance to completion: block on its batch,
+// observe it, propose the next point, submit it.
+func drainInstance(ctx context.Context, inst *instanceState, submit submitFn) error {
 	for {
-		if _, err := harvest(inst, true); err != nil {
+		if err := harvest(ctx, inst); err != nil {
 			return err
 		}
 		if inst.alg.Done() {
@@ -340,46 +328,35 @@ func drainInstance(p *Platform, cfg GSAConfig, inst *instanceState, submit submi
 	}
 }
 
-// interleave pumps all instances cooperatively until every budget is
-// exhausted: each pass gives each instance one non-blocking completion
-// check and, when its batch is fully harvested, its next submission.
-func interleave(p *Platform, cfg GSAConfig, instances []*instanceState, submit submitFn) error {
-	for {
-		allDone := true
-		progressed := false
-		for _, inst := range instances {
-			if inst.alg.Done() && len(inst.pending) == 0 {
-				continue
+// interleave drives every instance on its own goroutine, each running
+// drainInstance, so that while one instance refits its surrogate the
+// others keep the pool fed: the instances meet only through the task
+// database, as model-exploration algorithms and worker pools do in EMEWS.
+// Each instance owns its algorithm, RNG and futures, so the points it
+// chooses do not depend on how the goroutines are scheduled. The first
+// error cancels the other instances and is returned once all have stopped.
+func interleave(instances []*instanceState, submit submitFn) error {
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	var (
+		wg       sync.WaitGroup
+		once     sync.Once
+		firstErr error
+	)
+	for _, inst := range instances {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if err := drainInstance(ctx, inst, submit); err != nil {
+				once.Do(func() {
+					firstErr = err
+					cancel()
+				})
 			}
-			allDone = false
-			ready, err := harvest(inst, false)
-			if err != nil {
-				return err
-			}
-			if !ready {
-				continue
-			}
-			progressed = true
-			if inst.alg.Done() {
-				continue
-			}
-			pt, err := inst.alg.NextPoint()
-			if err != nil {
-				return err
-			}
-			if err := submit(inst, [][]float64{pt}); err != nil {
-				return err
-			}
-		}
-		if allDone {
-			return nil
-		}
-		if !progressed {
-			// Nothing completed this pass; yield briefly rather than
-			// spinning against the task database.
-			time.Sleep(200 * time.Microsecond)
-		}
+		}()
 	}
+	wg.Wait()
+	return firstErr
 }
 
 // PCEComparison fits one-shot PCE surrogates on LHS designs of increasing

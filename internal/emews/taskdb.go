@@ -116,8 +116,10 @@ func (f *Future) Result(ctx context.Context) (string, error) {
 }
 
 // TryResult returns (result, err, true) if the task has terminated, or
-// (_, _, false) if it is still pending — the non-blocking check each
-// interleaved MUSIC instance performs before ceding control (§3.2).
+// (_, _, false) if it is still pending: the non-blocking check for a
+// driver that pumps several algorithm instances from one goroutine. The
+// interleaved GSA instead gives each MUSIC instance its own goroutine,
+// which blocks in Result (§3.2).
 func (f *Future) TryResult() (string, error, bool) {
 	select {
 	case <-f.done:

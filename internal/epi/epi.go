@@ -129,57 +129,3 @@ func CoriEstimate(incidence []float64, w []float64, window int, priorShape, prio
 	}
 	return res, nil
 }
-
-// SEIRParams parameterizes the reference SEIR model.
-type SEIRParams struct {
-	Beta  float64 // transmission rate per day
-	Sigma float64 // 1/latent period
-	Gamma float64 // 1/infectious period
-	N     float64 // population size
-}
-
-// SEIRState is one day's compartment occupancy.
-type SEIRState struct {
-	S, E, I, R float64
-	// NewInfections is the incidence (S->E flow) during the step.
-	NewInfections float64
-}
-
-// SEIRSimulate integrates the deterministic SEIR ODE with an RK4 step per
-// day for `days` days from the given initial state.
-func SEIRSimulate(p SEIRParams, init SEIRState, days int) []SEIRState {
-	out := make([]SEIRState, days+1)
-	out[0] = init
-	st := init
-	deriv := func(s SEIRState) (dS, dE, dI, dR float64) {
-		inf := p.Beta * s.S * s.I / p.N
-		return -inf, inf - p.Sigma*s.E, p.Sigma*s.E - p.Gamma*s.I, p.Gamma * s.I
-	}
-	for d := 1; d <= days; d++ {
-		// RK4 with h=1 day, substepped 4x for accuracy.
-		const sub = 4
-		h := 1.0 / sub
-		newInf := 0.0
-		for k := 0; k < sub; k++ {
-			s1S, s1E, s1I, s1R := deriv(st)
-			mid := SEIRState{S: st.S + h/2*s1S, E: st.E + h/2*s1E, I: st.I + h/2*s1I, R: st.R + h/2*s1R}
-			s2S, s2E, s2I, s2R := deriv(mid)
-			mid2 := SEIRState{S: st.S + h/2*s2S, E: st.E + h/2*s2E, I: st.I + h/2*s2I, R: st.R + h/2*s2R}
-			s3S, s3E, s3I, s3R := deriv(mid2)
-			end := SEIRState{S: st.S + h*s3S, E: st.E + h*s3E, I: st.I + h*s3I, R: st.R + h*s3R}
-			s4S, s4E, s4I, s4R := deriv(end)
-			dS := h / 6 * (s1S + 2*s2S + 2*s3S + s4S)
-			st.S += dS
-			st.E += h / 6 * (s1E + 2*s2E + 2*s3E + s4E)
-			st.I += h / 6 * (s1I + 2*s2I + 2*s3I + s4I)
-			st.R += h / 6 * (s1R + 2*s2R + 2*s3R + s4R)
-			newInf += -dS
-		}
-		st.NewInfections = newInf
-		out[d] = st
-	}
-	return out
-}
-
-// R0 returns the basic reproduction number of the SEIR parameterization.
-func (p SEIRParams) R0() float64 { return p.Beta / p.Gamma }

@@ -136,7 +136,7 @@ func TestNoisyDataGetsNonTrivialNugget(t *testing.T) {
 	for i := 0; i < n; i++ {
 		v := r.Float64()
 		x[i] = []float64{v}
-		y[i] = math.Sin(2*math.Pi*v) + r.NormalMS(0, 0.3)
+		y[i] = math.Sin(2*math.Pi*v) + 0.3*r.Normal()
 	}
 	g, err := Fit(x, y, Options{Restarts: 3})
 	if err != nil {

@@ -43,9 +43,9 @@ func packSquaredDiffs(x [][]float64, d int) []float64 {
 
 // lmlEvaluator computes the negative log marginal likelihood for one
 // hyperparameter vector. Each multi-start restart owns one evaluator: the
-// covariance buffer and solve scratch that the old serial objective kept on
-// the GP itself live here instead, so restarts can run concurrently without
-// sharing mutable state. The training inputs are consumed through the packed
+// covariance buffer, the factor buffer and the solve scratch live here, so
+// restarts can run concurrently without sharing mutable state and an
+// evaluation allocates nothing. The training inputs are consumed through the packed
 // squared-difference tensor, turning each kernel entry into a d-term
 // multiply-add plus one transcendental instead of a coordinate-space
 // distance rebuild.
@@ -58,7 +58,8 @@ type lmlEvaluator struct {
 
 	invls2 []float64 // exp(-2θ_t) = 1/ls_t² per dimension
 	k      *linalg.Dense
-	w      []float64 // forward-solve output
+	ch     linalg.Cholesky // factor of k, refactored in place
+	w      []float64       // forward-solve output
 }
 
 func newLMLEvaluator(g *GP, sq []float64) *lmlEvaluator {
@@ -80,6 +81,7 @@ func newLMLEvaluatorRaw(kind KernelKind, d int, fixedNugget float64, sq, y []flo
 		y:           y,
 		invls2:      make([]float64, d),
 		k:           linalg.NewDense(n, n),
+		ch:          linalg.Cholesky{L: linalg.NewDense(n, n)},
 		w:           make([]float64, n),
 	}
 }
@@ -167,12 +169,11 @@ func (e *lmlEvaluator) negLML(theta []float64) float64 {
 		}
 	})
 
-	ch, _, err := linalg.NewCholeskyJittered(e.k, 1e-10, 12)
-	if err != nil {
+	if _, err := e.ch.FactorJittered(e.k, 1e-10, 12); err != nil {
 		return math.Inf(1)
 	}
-	ch.ForwardSolveTo(e.w, e.y)
+	e.ch.ForwardSolveTo(e.w, e.y)
 	fn := float64(n)
-	lml := -0.5*linalg.Dot(e.w, e.w) - 0.5*ch.LogDet() - 0.5*fn*math.Log(2*math.Pi)
+	lml := -0.5*linalg.Dot(e.w, e.w) - 0.5*e.ch.LogDet() - 0.5*fn*math.Log(2*math.Pi)
 	return -lml
 }

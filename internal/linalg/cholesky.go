@@ -31,49 +31,71 @@ type Cholesky struct {
 // two paths fix different (both deterministic) summation orders, so they
 // agree to rounding error, not bitwise; the crossover depends only on n.
 func NewCholesky(a *Dense) (*Cholesky, error) {
-	if a.Rows != a.Cols {
+	c := &Cholesky{L: NewDense(a.Rows, a.Rows)}
+	if err := c.factor(a, 0); err != nil {
+		return nil, err
+	}
+	return c, nil
+}
+
+// factor overwrites c.L with the factor of a + shift·I. c.L must be n×n;
+// its prior contents are irrelevant (the upper triangle is zeroed), so one
+// buffer can be refactored any number of times. The shift is added to each
+// diagonal entry as it is read, which gives exactly the bits of factoring a
+// copy whose diagonal was set to a_ii+shift. A zero shift turns only a
+// diagonal -0 into +0, which gives the same factor or the same failure.
+func (c *Cholesky) factor(a *Dense, shift float64) error {
+	n := a.Rows
+	if a.Cols != n {
 		panic("linalg: Cholesky of non-square matrix")
 	}
-	if a.Rows >= cholBlockedMin {
-		return newCholeskyBlocked(a)
+	if c.L.Rows != n || c.L.Cols != n {
+		panic("linalg: Cholesky factor buffer dimension mismatch")
 	}
-	return newCholeskyScalar(a)
+	if n >= cholBlockedMin {
+		return factorBlocked(c.L, a, shift)
+	}
+	return factorScalar(c.L, a, shift)
 }
 
 // NewCholeskyJittered retries the factorization with a deterministic
 // exponential jitter ladder (jitter0, 10·jitter0, 100·jitter0, …) until it
-// succeeds or maxTries is exhausted. Each rung sets the working copy's
-// diagonal to exactly original+jitter, so the attempt sequence depends only
-// on (a, jitter0, maxTries). Every retry increments the
+// succeeds or maxTries is exhausted. Each rung factors a with its diagonal
+// at exactly original+jitter, so the attempt sequence depends only on
+// (a, jitter0, maxTries). Every retry increments the
 // linalg.chol.jitter_retries counter, making surrogate-fit instability
 // visible in /metrics. It returns the factor along with the jitter that was
 // finally applied. This is the standard guard for Gaussian-process
 // covariance matrices that are numerically semi-definite.
 func NewCholeskyJittered(a *Dense, jitter0 float64, maxTries int) (*Cholesky, float64, error) {
+	c := &Cholesky{L: NewDense(a.Rows, a.Rows)}
+	j, err := c.FactorJittered(a, jitter0, maxTries)
+	if err != nil {
+		return nil, 0, err
+	}
+	return c, j, nil
+}
+
+// FactorJittered is NewCholeskyJittered into the caller-owned n×n buffer
+// c.L: the same ladder, the same retries and the same bits, with no
+// allocation, so a likelihood evaluated hundreds of times per fit reuses
+// one factor. On error c.L holds a partial factor.
+func (c *Cholesky) FactorJittered(a *Dense, jitter0 float64, maxTries int) (float64, error) {
 	if jitter0 <= 0 {
 		jitter0 = 1e-10
 	}
-	if ch, err := NewCholesky(a); err == nil {
-		return ch, 0, nil
-	}
-	n := a.Rows
-	b := a.Clone()
-	diag := make([]float64, n)
-	for i := 0; i < n; i++ {
-		diag[i] = a.At(i, i)
+	if err := c.factor(a, 0); err == nil {
+		return 0, nil
 	}
 	j := jitter0
 	for try := 0; try < maxTries; try++ {
 		mCholJitterRetries.Inc()
-		for i := 0; i < n; i++ {
-			b.Set(i, i, diag[i]+j)
-		}
-		if ch, err := NewCholesky(b); err == nil {
-			return ch, j, nil
+		if err := c.factor(a, j); err == nil {
+			return j, nil
 		}
 		j *= 10
 	}
-	return nil, 0, ErrNotPositiveDefinite
+	return 0, ErrNotPositiveDefinite
 }
 
 // SolveVec solves A x = b given the factorization, overwriting nothing.

@@ -36,33 +36,53 @@ const (
 	cholBlockedMin = 128
 )
 
-// newCholeskyScalar is the reference factorization for small matrices,
-// kept as the sub-crossover fast path and as the oracle the blocked-path
-// tests compare against.
-func newCholeskyScalar(a *Dense) (*Cholesky, error) {
+// factorScalar is the factorization for small matrices, writing the
+// factor of a + shift·I into l (see (*Cholesky).factor). Every entry is
+// its own ascending-k subtraction chain, as in the textbook loop, but the
+// rows below the diagonal are processed four at a time: the four chains
+// are independent, so their subtractions overlap instead of each waiting
+// out the previous one's add latency, and each lj[k] is loaded once for
+// four rows. No sum is reordered, so the factor is bit-identical to the
+// one-row-at-a-time loop.
+func factorScalar(l, a *Dense, shift float64) error {
 	n := a.Rows
-	l := NewDense(n, n)
 	for j := 0; j < n; j++ {
-		d := a.At(j, j)
 		lj := l.Row(j)
-		for k := 0; k < j; k++ {
-			d -= lj[k] * lj[k]
+		clear(lj[j+1:])
+		ljk := lj[:j]
+		d := a.At(j, j) + shift
+		for _, v := range ljk {
+			d -= v * v
 		}
 		if d <= 0 || math.IsNaN(d) {
-			return nil, ErrNotPositiveDefinite
+			return ErrNotPositiveDefinite
 		}
 		dj := math.Sqrt(d)
 		lj[j] = dj
-		for i := j + 1; i < n; i++ {
-			s := a.At(i, j)
+		i := j + 1
+		for ; i+4 <= n; i += 4 {
+			l0, l1, l2, l3 := l.Row(i), l.Row(i+1), l.Row(i+2), l.Row(i+3)
+			r0, r1, r2, r3 := l0[:j], l1[:j], l2[:j], l3[:j]
+			s0, s1, s2, s3 := a.At(i, j), a.At(i+1, j), a.At(i+2, j), a.At(i+3, j)
+			for k, v := range ljk {
+				s0 -= r0[k] * v
+				s1 -= r1[k] * v
+				s2 -= r2[k] * v
+				s3 -= r3[k] * v
+			}
+			l0[j], l1[j], l2[j], l3[j] = s0/dj, s1/dj, s2/dj, s3/dj
+		}
+		for ; i < n; i++ {
 			li := l.Row(i)
-			for k := 0; k < j; k++ {
-				s -= li[k] * lj[k]
+			ri := li[:j]
+			s := a.At(i, j)
+			for k, v := range ljk {
+				s -= ri[k] * v
 			}
 			li[j] = s / dj
 		}
 	}
-	return &Cholesky{L: l}, nil
+	return nil
 }
 
 // dot4 returns Σ a[k]·b[k] over [0, n) with four independent accumulator
@@ -105,19 +125,22 @@ func factorDiagTile(l *Dense, kb, ke int) error {
 	return nil
 }
 
-// newCholeskyBlocked factors a with the tiled right-looking algorithm.
-func newCholeskyBlocked(a *Dense) (*Cholesky, error) {
+// factorBlocked writes the factor of a + shift·I into l with the tiled
+// right-looking algorithm (see (*Cholesky).factor).
+func factorBlocked(l, a *Dense, shift float64) error {
 	n := a.Rows
-	l := NewDense(n, n)
 	for i := 0; i < n; i++ {
-		copy(l.Row(i)[:i+1], a.Row(i)[:i+1])
+		li := l.Row(i)
+		copy(li[:i+1], a.Row(i)[:i+1])
+		clear(li[i+1:])
+		li[i] += shift
 	}
 	// Reused trailing-tile pair list: {rowTileStart, colTileStart}.
 	var pairs [][2]int
 	for kb := 0; kb < n; kb += cholTile {
 		ke := min(kb+cholTile, n)
 		if err := factorDiagTile(l, kb, ke); err != nil {
-			return nil, err
+			return err
 		}
 		// Panel: forward-substitute every row below the diagonal tile
 		// against it. Each row is owned by one iteration.
@@ -159,5 +182,5 @@ func newCholeskyBlocked(a *Dense) (*Cholesky, error) {
 			}
 		})
 	}
-	return &Cholesky{L: l}, nil
+	return nil
 }

@@ -34,6 +34,15 @@ func spdMatrix(n int) *Dense {
 	return a
 }
 
+// factorWith runs one factorization kernel into a fresh buffer.
+func factorWith(kernel func(l, a *Dense, shift float64) error, a *Dense) (*Dense, error) {
+	l := NewDense(a.Rows, a.Rows)
+	if err := kernel(l, a, 0); err != nil {
+		return nil, err
+	}
+	return l, nil
+}
+
 // TestBlockedMatchesScalar is the crossover-safety property: the blocked
 // factorization agrees with the scalar oracle to rounding error at sizes
 // on, under, and over tile boundaries. (The two paths fix different
@@ -42,15 +51,15 @@ func spdMatrix(n int) *Dense {
 func TestBlockedMatchesScalar(t *testing.T) {
 	for _, n := range []int{1, 5, 63, 64, 65, 127, 128, 129, 200, 257} {
 		a := spdMatrix(n)
-		sc, err := newCholeskyScalar(a)
+		sc, err := factorWith(factorScalar, a)
 		if err != nil {
 			t.Fatalf("n=%d scalar: %v", n, err)
 		}
-		bl, err := newCholeskyBlocked(a)
+		bl, err := factorWith(factorBlocked, a)
 		if err != nil {
 			t.Fatalf("n=%d blocked: %v", n, err)
 		}
-		if d := sc.L.MaxAbsDiff(bl.L); d > 1e-11 {
+		if d := sc.MaxAbsDiff(bl); d > 1e-11 {
 			t.Fatalf("n=%d: blocked factor differs from scalar by %g", n, d)
 		}
 	}
@@ -61,19 +70,19 @@ func TestBlockedMatchesScalar(t *testing.T) {
 func TestBlockedCholeskySerialParallelEquality(t *testing.T) {
 	defer parallel.SetWorkers(0)
 	a := spdMatrix(300)
-	var ref *Cholesky
+	var ref *Dense
 	for _, w := range []int{1, 4, runtime.GOMAXPROCS(0)} {
 		parallel.SetWorkers(w)
-		ch, err := newCholeskyBlocked(a)
+		l, err := factorWith(factorBlocked, a)
 		if err != nil {
 			t.Fatalf("workers=%d: %v", w, err)
 		}
 		if ref == nil {
-			ref = ch
+			ref = l
 			continue
 		}
-		for i := range ref.L.Data {
-			if ref.L.Data[i] != ch.L.Data[i] {
+		for i := range ref.Data {
+			if ref.Data[i] != l.Data[i] {
 				t.Fatalf("workers=%d: factor differs at flat index %d", w, i)
 			}
 		}
@@ -104,7 +113,7 @@ func TestBlockedCholeskyRejectsIndefinite(t *testing.T) {
 		a.Set(i, i, 1)
 	}
 	a.Set(n-1, n-1, -1) // indefinite in the last tile
-	if _, err := newCholeskyBlocked(a); err != ErrNotPositiveDefinite {
+	if _, err := factorWith(factorBlocked, a); err != ErrNotPositiveDefinite {
 		t.Fatalf("got %v, want ErrNotPositiveDefinite", err)
 	}
 }
@@ -222,7 +231,7 @@ func BenchmarkCholeskyBlockedInternal(b *testing.B) {
 		b.Run(fmt.Sprintf("blocked/n=%d", n), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, err := newCholeskyBlocked(a); err != nil {
+				if _, err := factorWith(factorBlocked, a); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -230,7 +239,7 @@ func BenchmarkCholeskyBlockedInternal(b *testing.B) {
 		b.Run(fmt.Sprintf("scalar/n=%d", n), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, err := newCholeskyScalar(a); err != nil {
+				if _, err := factorWith(factorScalar, a); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -147,7 +147,7 @@ type Snapshot struct {
 }
 
 // Algorithm is one MUSIC instance. It is not safe for concurrent use; the
-// interleaving pattern runs instances cooperatively.
+// interleaved study drives each instance from its own goroutine.
 type Algorithm struct {
 	opts Options
 	r    *rng.Stream

@@ -2,8 +2,15 @@
 // for OSPREY's numerical hot paths (GP fitting and prediction, MUSIC
 // candidate scoring, Goldstein chain fan-out, Saltelli evaluation, the
 // multi-plant pipeline). It replaces ad-hoc unbounded goroutine fan-outs so
-// that every compute-bound loop in the repository obeys one process-wide
-// worker bound.
+// that every compute-bound loop in the repository obeys one worker bound.
+//
+// The bound applies per call: one For or ForChunk call runs on at most
+// Workers() goroutines. Concurrent callers each get up to Workers()
+// goroutines of their own, so a process whose callers overlap (the
+// interleaved GSA runs one goroutine per MUSIC instance, each fitting its
+// own surrogate) can run several times Workers() loop goroutines at once,
+// and the summed busy time of those loops can exceed wall-clock time
+// multiplied by Workers().
 //
 // Determinism contract: For and ForChunk impose no ordering between
 // iterations; callers obtain bit-identical results regardless of the worker

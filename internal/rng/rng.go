@@ -186,11 +186,6 @@ func (r *Stream) Normal() float64 {
 	}
 }
 
-// NormalMS returns a normal draw with the given mean and standard deviation.
-func (r *Stream) NormalMS(mean, sd float64) float64 {
-	return mean + sd*r.Normal()
-}
-
 // LogNormal returns exp(N(mu, sigma^2)).
 func (r *Stream) LogNormal(mu, sigma float64) float64 {
 	return math.Exp(mu + sigma*r.Normal())

@@ -186,11 +186,6 @@ func TestNormalMoments(t *testing.T) {
 	momentTest(t, "Normal", r.Normal, 0, 1, 0.02)
 }
 
-func TestNormalMSMoments(t *testing.T) {
-	r := New(22)
-	momentTest(t, "NormalMS", func() float64 { return r.NormalMS(3, 2) }, 3, 4, 0.02)
-}
-
 func TestLogNormalMoments(t *testing.T) {
 	r := New(23)
 	mu, sigma := 0.5, 0.4

@@ -131,7 +131,7 @@ func TestSummarize(t *testing.T) {
 	r := rng.New(2)
 	xs := make([]float64, 10000)
 	for i := range xs {
-		xs[i] = r.NormalMS(10, 2)
+		xs[i] = 10 + 2*r.Normal()
 	}
 	s := Summarize(xs)
 	if s.N != 10000 {
