@@ -70,8 +70,10 @@ test-go:
 test-shuffle:
 	$(GO) test -shuffle=on ./...
 
+# GOMAXPROCS=1 over the numerics, plus internal/emews so its goroutine-leak
+# gate (TestMain) also runs on one core.
 test-single-core:
-	GOMAXPROCS=1 $(GO) test ./internal/gp/ ./internal/music/ ./internal/sobolidx/ ./internal/rt/ ./internal/parallel/ ./internal/linalg/
+	GOMAXPROCS=1 $(GO) test ./internal/gp/ ./internal/music/ ./internal/sobolidx/ ./internal/rt/ ./internal/parallel/ ./internal/linalg/ ./internal/emews/
 
 # Race detector over the distributed task lifecycle (emews), the
 # scheduler, the durability layer (WAL + store recovery), and the load

@@ -16,6 +16,7 @@ import (
 	"flag"
 	"fmt"
 	"log"
+	"math"
 	"os"
 	"path/filepath"
 	"strings"
@@ -192,6 +193,9 @@ func (g *generator) utilization() error {
 	if err != nil {
 		return err
 	}
+	if err := sameScience(seq, inter); err != nil {
+		return fmt.Errorf("utilization: sequential and interleaved results differ: %w", err)
+	}
 	var sb strings.Builder
 	sb.WriteString("Worker-pool utilization: sequential vs interleaved MUSIC instances (§3.2)\n\n")
 	rows := [][]string{
@@ -207,6 +211,54 @@ func (g *generator) utilization() error {
 		float64(seq.Elapsed)/float64(inter.Elapsed))
 	fmt.Println(sb.String())
 	return g.write("utilization.txt", sb.String())
+}
+
+// sameScience returns an error naming the first difference between two
+// GSA studies' results, compared bit for bit: every replicate's final
+// indices and its whole convergence history. Timings and pool statistics
+// are not compared.
+func sameScience(a, b *osprey.GSAResult) error {
+	if len(a.FinalIndices) != len(b.FinalIndices) || len(a.Histories) != len(b.Histories) {
+		return fmt.Errorf("replicate counts %d/%d vs %d/%d",
+			len(a.FinalIndices), len(a.Histories), len(b.FinalIndices), len(b.Histories))
+	}
+	for r := range a.FinalIndices {
+		if err := sameBits(a.FinalIndices[r], b.FinalIndices[r]); err != nil {
+			return fmt.Errorf("replicate %d final indices: %w", r, err)
+		}
+	}
+	for r, ha := range a.Histories {
+		hb := b.Histories[r]
+		if len(ha) != len(hb) {
+			return fmt.Errorf("replicate %d: %d vs %d snapshots", r, len(ha), len(hb))
+		}
+		for k := range ha {
+			if ha[k].N != hb[k].N {
+				return fmt.Errorf("replicate %d snapshot %d: N %d vs %d", r, k, ha[k].N, hb[k].N)
+			}
+			if err := sameBits(ha[k].Indices, hb[k].Indices); err != nil {
+				return fmt.Errorf("replicate %d snapshot %d indices: %w", r, k, err)
+			}
+			if err := sameBits(ha[k].Total, hb[k].Total); err != nil {
+				return fmt.Errorf("replicate %d snapshot %d total indices: %w", r, k, err)
+			}
+		}
+	}
+	return nil
+}
+
+// sameBits returns an error naming the first entry where a and b differ
+// in any bit.
+func sameBits(a, b []float64) error {
+	if len(a) != len(b) {
+		return fmt.Errorf("length %d vs %d", len(a), len(b))
+	}
+	for i := range a {
+		if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
+			return fmt.Errorf("entry %d: %v vs %v", i, a[i], b[i])
+		}
+	}
+	return nil
 }
 
 type generator struct {

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime"
 	"strconv"
 	"strings"
 	"sync/atomic"
@@ -282,6 +283,62 @@ func TestScheduledPoolRunsThroughScheduler(t *testing.T) {
 	pool.Stop()
 	if cluster.Stats().Completed != 1 {
 		t.Fatal("pool job did not complete cleanly after Stop")
+	}
+}
+
+// Regression: a scheduled pool merged its job and pool contexts afresh
+// for every Pop, and each merge left a goroutine waiting until Stop, so
+// the pool grew by one goroutine per task. Workers must still end on
+// Stop and on the job's cancellation.
+func TestScheduledPoolGoroutinesStayFlat(t *testing.T) {
+	cluster, err := scheduler.NewCluster(2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cluster.Shutdown()
+	db := NewDB()
+	defer db.Close()
+	echo := func(ctx context.Context, payload string) (string, error) { return payload, nil }
+	pool, err := StartScheduledPool(cluster, 2, 1, db, "m", echo, time.Minute)
+	if err != nil {
+		t.Fatal(err)
+	}
+	start := runtime.NumGoroutine()
+	for i := 0; i < 1000; i++ {
+		f, err := db.Submit("m", 0, strconv.Itoa(i))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := f.Result(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if n := runtime.NumGoroutine(); n > start+5 {
+		t.Fatalf("goroutines grew from %d to %d over 1000 tasks", start, n)
+	}
+	stopped := make(chan struct{})
+	go func() {
+		pool.Stop()
+		close(stopped)
+	}()
+	select {
+	case <-stopped:
+	case <-time.After(5 * time.Second):
+		t.Fatal("Stop did not end the workers")
+	}
+
+	// Cancelling the job (here by shutting the cluster down) also ends
+	// the workers, and with them the job.
+	pool, err = StartScheduledPool(cluster, 2, 1, db, "m", echo, time.Minute)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer pool.Stop()
+	cluster.Shutdown()
+	select {
+	case <-pool.job.Done():
+	case <-time.After(5 * time.Second):
+		t.Fatal("job cancellation did not end the workers")
 	}
 }
 

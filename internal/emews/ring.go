@@ -21,7 +21,6 @@ package emews
 
 import (
 	"fmt"
-	"hash/fnv"
 	"sort"
 )
 
@@ -45,14 +44,17 @@ type ringPoint struct {
 }
 
 // ringHash hashes a routing key (or virtual-node label) onto the ring's
-// 64-bit circle: fnv-1a for the byte stream, then a splitmix64-style
-// avalanche finalizer. The finalizer matters: raw fnv-1a leaves similar
+// 64-bit circle: fnv-1a over the key's bytes, in place (hash/fnv's New64a
+// values without copying the key), then a splitmix64-style avalanche
+// finalizer. The finalizer matters: raw fnv-1a leaves similar
 // fixed-width keys ("params-000", "params-001", …) clustered in one arc
 // of the circle, which can dump an entire workload onto one shard.
 func ringHash(key string) uint64 {
-	h := fnv.New64a()
-	h.Write([]byte(key))
-	x := h.Sum64()
+	x := uint64(14695981039346656037) // fnv-1a 64-bit offset basis
+	for i := 0; i < len(key); i++ {
+		x ^= uint64(key[i])
+		x *= 1099511628211 // fnv-1a 64-bit prime
+	}
 	x ^= x >> 30
 	x *= 0xbf58476d1ce4e5b9
 	x ^= x >> 27

@@ -4,7 +4,9 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"hash/fnv"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
@@ -31,6 +33,41 @@ func TestRingDeterministicAndBalanced(t *testing.T) {
 	}
 	if NewRing(1).Lookup("anything") != 0 {
 		t.Fatal("single-shard ring must map everything to shard 0")
+	}
+}
+
+// The ring hash is a cross-version contract: clients and servers of
+// different builds must route every key alike. ringHash must equal
+// hash/fnv's fnv-1a plus the finalizer, and NewRing(3) must route 100
+// fixed keys as the table captured from the original hash/fnv build.
+func TestRingHashPinned(t *testing.T) {
+	ref := func(key string) uint64 {
+		h := fnv.New64a()
+		h.Write([]byte(key))
+		x := h.Sum64()
+		x ^= x >> 30
+		x *= 0xbf58476d1ce4e5b9
+		x ^= x >> 27
+		x *= 0x94d049bb133111eb
+		x ^= x >> 31
+		return x
+	}
+	for _, key := range []string{"", "params-000", strings.Repeat("abcdefgh", 512), "Größe-ß-é-日本語-\x00\xff"} {
+		if got, want := ringHash(key), ref(key); got != want {
+			t.Errorf("ringHash(%.20q) = %#x, want %#x", key, got, want)
+		}
+	}
+	if got := ringHash("params-000"); got != 0xef73e0cd67eec341 {
+		t.Errorf("ringHash(\"params-000\") = %#x, want 0xef73e0cd67eec341", got)
+	}
+	const want = "1212122221102200020201010210021022000120211220111110211111020102011112211001012101121201011112001211"
+	r := NewRing(3)
+	var got strings.Builder
+	for i := 0; i < 100; i++ {
+		fmt.Fprint(&got, r.Lookup(fmt.Sprintf("params-%03d", i)))
+	}
+	if got.String() != want {
+		t.Fatalf("NewRing(3) routes params-000…099 as\n%s\nwant\n%s", got.String(), want)
 	}
 }
 

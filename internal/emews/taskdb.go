@@ -331,23 +331,34 @@ func (db *DB) Pop(ctx context.Context, taskType string) (*Claim, error) {
 // batch is all-or-none: if the commit fails, no task is claimed and the
 // error is returned.
 func (db *DB) PopBatch(ctx context.Context, taskType string, max int) ([]*Claim, error) {
+	return db.popBatch(ctx, taskType, max, true)
+}
+
+// TryPop claims a task if one is immediately available.
+func (db *DB) TryPop(taskType string) (*Claim, bool, error) {
+	cs, err := db.popBatch(context.Background(), taskType, 1, false)
+	if err != nil || len(cs) == 0 {
+		return nil, false, err
+	}
+	return cs[0], true, nil
+}
+
+// popBatch is PopBatch; with wait false it returns no claims and a nil
+// error where PopBatch would wait for a task.
+func (db *DB) popBatch(ctx context.Context, taskType string, max int, wait bool) ([]*Claim, error) {
 	// Wake the cond wait when ctx is canceled. The broadcast MUST happen
 	// under db.mu: the waiter re-checks ctx.Err() while holding the lock
 	// and only then calls cond.Wait(), so a locked broadcast cannot land
 	// in the window between the check and the wait. An unlocked broadcast
 	// could, losing the wakeup and hanging the pop until an unrelated
 	// Submit/Close broadcasts.
-	stop := make(chan struct{})
-	defer close(stop)
-	go func() {
-		select {
-		case <-ctx.Done():
+	if wait {
+		defer context.AfterFunc(ctx, func() {
 			db.mu.Lock()
 			db.cond.Broadcast()
 			db.mu.Unlock()
-		case <-stop:
-		}
-	}()
+		})()
+	}
 
 	waitStart := time.Now()
 	db.mu.Lock()
@@ -367,22 +378,11 @@ func (db *DB) PopBatch(ctx context.Context, taskType string, max int) ([]*Claim,
 			mPopWait.ObserveSince(waitStart)
 			return cs, nil
 		}
+		if !wait {
+			return nil, nil
+		}
 		db.cond.Wait()
 	}
-}
-
-// TryPop claims a task if one is immediately available.
-func (db *DB) TryPop(taskType string) (*Claim, bool, error) {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	if db.closed {
-		return nil, false, ErrClosed
-	}
-	cs, err := db.popLocked(taskType, 1)
-	if err != nil || len(cs) == 0 {
-		return nil, false, err
-	}
-	return cs[0], true, nil
 }
 
 // popLocked claims up to max of the highest-priority queued tasks of
