@@ -173,13 +173,15 @@ bench-compare:
 	$(GO) run ./cmd/benchjson -compare BENCH_baseline.json BENCH_fresh.json -tolerance 0.15 -diff-out bench-diff.json
 
 # Short coverage-guided fuzz of the WAL record decoder, the emews
-# binary wire-frame decoder and codec round trip, the loadgen fault
-# DSL and the R(t) estimate decoder (nightly job). The -run lines run only
+# binary wire-frame decoder and codec round trip, the emews task-log
+# record decoder, the loadgen fault DSL and the R(t) estimate decoder
+# (nightly job). The -run lines run only
 # their fuzz target, not the package's other tests.
 fuzz-smoke:
 	$(GO) test -fuzz=FuzzParseRecord -fuzztime=30s ./internal/wal/
 	$(GO) test -fuzz=FuzzDecodeFrame -fuzztime=30s ./internal/emews/
 	$(GO) test -run FuzzWireRoundTrip -fuzz=FuzzWireRoundTrip -fuzztime=30s ./internal/emews/
+	$(GO) test -run FuzzDecodeMutation -fuzz=FuzzDecodeMutation -fuzztime=30s ./internal/emews/
 	$(GO) test -run FuzzParseFaults -fuzz=FuzzParseFaults -fuzztime=30s ./internal/loadgen/
 	$(GO) test -run FuzzDecodeEstimate -fuzz=FuzzDecodeEstimate -fuzztime=30s ./internal/core/
 

@@ -795,7 +795,8 @@ func BenchmarkSubstrateThroughputSharded(b *testing.B) {
 // both durability modes: fsync-per-append (the daemon's default, bounded
 // by device flush latency) and no-fsync (the OS-crash-only guarantee,
 // bounded by encoding + buffered write). Payloads are ~200-byte JSON
-// mutations, matching what the AERO and EMEWS stores actually log.
+// AERO mutations (a data.version record); the log treats payloads as
+// opaque bytes, so only their size matters here.
 // fsync-always-b16 appends 16 records per call, as a batch op of the task
 // database commits them: one write and one fsync per call, so its MB/s
 // against fsync-always's shows the per-record cost batching saves.
@@ -839,6 +840,8 @@ func BenchmarkWALAppend(b *testing.B) {
 // BenchmarkWALReplay measures boot-time recovery: open a log holding 100k
 // mutation records and replay it end to end. This is the replay debt a
 // crashed daemon pays before serving, and what snapshot compaction bounds.
+// The ~120-byte payload is nominal: the log treats payloads as opaque
+// bytes, and EMEWS records are binary (internal/emews/record.go).
 func BenchmarkWALReplay(b *testing.B) {
 	const records = 100_000
 	payload := []byte(`{"op":"submit","task":{"id":12345,"queue":"daemon.probe",` +

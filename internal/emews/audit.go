@@ -1,7 +1,6 @@
 package emews
 
 import (
-	"encoding/json"
 	"fmt"
 	"sort"
 
@@ -85,8 +84,8 @@ func auditWALTasks(dir string) (*WALAudit, map[int64]*auditTask, error) {
 	// pre-snapshot history is gone, so only post-snapshot transitions can
 	// be audited.
 	if b, ok := l.Snapshot(); ok {
-		var snap dbSnapshot
-		if err := json.Unmarshal(b, &snap); err != nil {
+		snap, err := decodeSnapshot(b)
+		if err != nil {
 			return nil, nil, fmt.Errorf("emews: audit snapshot: %w", err)
 		}
 		for _, t := range snap.Tasks {
@@ -95,8 +94,8 @@ func auditWALTasks(dir string) (*WALAudit, map[int64]*auditTask, error) {
 	}
 
 	if _, err := l.Replay(func(rec []byte) error {
-		var m taskMutation
-		if err := json.Unmarshal(rec, &m); err != nil {
+		m, err := decodeMutation(rec)
+		if err != nil {
 			return fmt.Errorf("emews: audit decode: %w", err)
 		}
 		audit.Records++
@@ -189,7 +188,7 @@ func auditWALTasks(dir string) (*WALAudit, map[int64]*auditTask, error) {
 				}
 			}
 		default:
-			violate("unknown op %q at record %d", m.Op, audit.Records)
+			violate("unknown op %d at record %d", m.Op, audit.Records)
 		}
 		return nil
 	}); err != nil {

@@ -2,7 +2,6 @@ package emews
 
 import (
 	"context"
-	"encoding/json"
 	"path/filepath"
 	"testing"
 	"time"
@@ -141,12 +140,9 @@ func TestAuditWALFlagsDoubleFinish(t *testing.T) {
 	}
 	// Forge a second terminal finish for the same task, bypassing the
 	// fence (the live path would reject it).
-	rec, err := json.Marshal(&taskMutation{
+	rec := appendMutation(nil, &taskMutation{
 		Op: opFinish, ID: claim.Task.ID, Status: StatusFailed, ErrMsg: "forged", At: time.Now(),
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	if err := l.Append(rec); err != nil {
 		t.Fatal(err)
 	}

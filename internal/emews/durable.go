@@ -1,9 +1,7 @@
 package emews
 
 import (
-	"bytes"
 	"container/heap"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"sort"
@@ -30,27 +28,18 @@ import (
 // itself logged as an opRequeue mutation so later pops replay against the
 // same pre-states they saw live.
 
-// Mutation ops of the EMEWS task database.
-const (
-	opSubmit  = "submit"
-	opPop     = "pop"
-	opFinish  = "finish"
-	opDBClose = "close"
-	opPrune   = "prune"
-	opRequeue = "requeue"
-)
-
-// taskMutation is one serialized state transition.
+// taskMutation is one serialized state transition; record.go holds its
+// log format and the op codes.
 type taskMutation struct {
-	Op       string     `json:"op"`
-	Task     *Task      `json:"task,omitempty"`     // submit: the full task, ID assigned
-	ID       int64      `json:"id,omitempty"`       // pop/finish: target task
-	Status   TaskStatus `json:"status,omitempty"`   // finish: terminal status
-	Result   string     `json:"result,omitempty"`   // finish
-	ErrMsg   string     `json:"err,omitempty"`      // finish
-	Requeued bool       `json:"requeued,omitempty"` // finish: retry instead of terminate
-	At       time.Time  `json:"at,omitempty"`       // pop: Started; finish/close: Finished
-	IDs      []int64    `json:"ids,omitempty"`      // prune/requeue: affected tasks
+	Op       mutationOp
+	Task     *Task      // submit: the full task, ID assigned
+	ID       int64      // pop/finish: target task
+	Status   TaskStatus // finish: terminal status
+	Result   string     // finish
+	ErrMsg   string     // finish
+	Requeued bool       // finish: retry instead of terminate
+	At       time.Time  // pop: Started; finish/close: Finished
+	IDs      []int64    // prune/requeue: affected tasks
 }
 
 // applyResult reports which side effects the live wrapper owes after a
@@ -155,7 +144,7 @@ func (db *DB) applyLocked(m *taskMutation) (applyResult, error) {
 			heap.Push(db.queueFor(t.Type), heapItem{id: t.ID, priority: t.Priority, seq: t.ID})
 		}
 	default:
-		return res, fmt.Errorf("emews: unknown wal op %q", m.Op)
+		return res, fmt.Errorf("emews: unknown wal op %d", m.Op)
 	}
 	return res, nil
 }
@@ -182,19 +171,30 @@ func (db *DB) persistLocked(ms []taskMutation) error {
 	if db.wal == nil || len(ms) == 0 {
 		return nil
 	}
-	recs := make([][]byte, len(ms))
+	// Every record is encoded into the one reused buffer. A record sliced
+	// out before the buffer grew still points at its own unchanged bytes,
+	// and Append copies them all before it returns.
+	buf, recs := db.recBuf[:0], db.recs[:0]
 	for i := range ms {
-		rec, err := json.Marshal(&ms[i])
-		if err != nil {
-			return fmt.Errorf("emews: encode mutation: %w", err)
-		}
-		recs[i] = rec
+		start := len(buf)
+		buf = appendMutation(buf, &ms[i])
+		recs = append(recs, buf[start:])
 	}
-	if err := db.wal.Append(recs...); err != nil {
+	err := db.wal.Append(recs...)
+	clear(recs)
+	db.recs = recs[:0]
+	if cap(buf) <= maxRecBufKeep {
+		db.recBuf = buf[:0]
+	}
+	if err != nil {
 		return fmt.Errorf("emews: wal append: %w", err)
 	}
 	return nil
 }
+
+// maxRecBufKeep bounds the encode buffer kept between commits, so one
+// huge commit does not pin its bytes for the life of the database.
+const maxRecBufKeep = 1 << 20
 
 // commitLocked persists the single mutation m and applies it. The caller
 // holds db.mu.
@@ -206,12 +206,13 @@ func (db *DB) commitLocked(m taskMutation) (applyResult, error) {
 	return db.applyLocked(&ms[0])
 }
 
-// dbSnapshot is the full-state snapshot written at compaction.
+// dbSnapshot is the full-state snapshot written at compaction (format in
+// record.go).
 type dbSnapshot struct {
-	NextID int64   `json:"next_id"`
-	Closed bool    `json:"closed"`
-	Stats  Stats   `json:"stats"`
-	Tasks  []*Task `json:"tasks"`
+	NextID int64
+	Closed bool
+	Stats  Stats
+	Tasks  []*Task
 }
 
 // snapshotLocked captures the full database state, tasks sorted by ID.
@@ -230,8 +231,8 @@ func (db *DB) snapshotLocked() dbSnapshot {
 // rebuilding the priority heaps from queued tasks and re-arming a future
 // per task (terminal futures are settled by OpenDB's final pass).
 func (db *DB) loadSnapshot(b []byte) error {
-	var snap dbSnapshot
-	if err := json.Unmarshal(b, &snap); err != nil {
+	snap, err := decodeSnapshot(b)
+	if err != nil {
 		return fmt.Errorf("emews: load snapshot: %w", err)
 	}
 	db.mu.Lock()
@@ -243,11 +244,10 @@ func (db *DB) loadSnapshot(b []byte) error {
 	db.queues = map[string]*taskHeap{}
 	db.futures = map[int64]*Future{}
 	for _, t := range snap.Tasks {
-		cp := *t
-		db.tasks[cp.ID] = &cp
-		db.futures[cp.ID] = &Future{TaskID: cp.ID, db: db, done: make(chan struct{})}
-		if cp.Status == StatusQueued {
-			heap.Push(db.queueFor(cp.Type), heapItem{id: cp.ID, priority: cp.Priority, seq: cp.ID})
+		db.tasks[t.ID] = t
+		db.futures[t.ID] = &Future{TaskID: t.ID, db: db, done: make(chan struct{})}
+		if t.Status == StatusQueued {
+			heap.Push(db.queueFor(t.Type), heapItem{id: t.ID, priority: t.Priority, seq: t.ID})
 		}
 	}
 	return nil
@@ -277,13 +277,13 @@ func OpenDBShard(l *wal.Log, index, count int) (*DB, error) {
 		}
 	}
 	if _, err := l.Replay(func(rec []byte) error {
-		var m taskMutation
-		if err := json.Unmarshal(rec, &m); err != nil {
+		m, err := decodeMutation(rec)
+		if err != nil {
 			return fmt.Errorf("emews: decode mutation: %w", err)
 		}
 		db.mu.Lock()
 		defer db.mu.Unlock()
-		_, err := db.applyLocked(&m)
+		_, err = db.applyLocked(&m)
 		return err
 	}); err != nil {
 		return nil, err
@@ -354,11 +354,8 @@ func (db *DB) Compact() error {
 	if db.wal == nil {
 		return errors.New("emews: task database has no WAL (not opened with OpenDB)")
 	}
-	var buf bytes.Buffer
-	if err := json.NewEncoder(&buf).Encode(db.snapshotLocked()); err != nil {
-		return fmt.Errorf("emews: encode snapshot: %w", err)
-	}
-	return db.wal.WriteSnapshot(buf.Bytes())
+	snap := db.snapshotLocked()
+	return db.wal.WriteSnapshot(appendSnapshot(nil, &snap))
 }
 
 // Prune drops terminal tasks (and their futures) whose Finished time is at

@@ -12,12 +12,14 @@ import (
 // TestMain gates the package on goroutine leaks: once every test has
 // passed, the goroutine count must settle back to what it was before the
 // first test, within leakGrace. Otherwise the top frame of every
-// goroutine still running is printed and the run fails.
+// goroutine still running is printed and the run fails. The os/signal
+// loop is not counted: under -fuzz the fuzz engine's interrupt handler
+// starts it, and it lives as long as the process.
 func TestMain(m *testing.M) {
-	before := runtime.NumGoroutine()
+	before := goroutineCount()
 	code := m.Run()
 	if code == 0 && !goroutinesSettle(before, leakGrace) {
-		fmt.Fprintf(os.Stderr, "goroutine leak: %d running after the tests, %d before:\n", runtime.NumGoroutine(), before)
+		fmt.Fprintf(os.Stderr, "goroutine leak: %d running after the tests, %d before:\n", goroutineCount(), before)
 		for _, f := range goroutineTops() {
 			fmt.Fprintln(os.Stderr, "  "+f)
 		}
@@ -28,10 +30,25 @@ func TestMain(m *testing.M) {
 
 const leakGrace = 3 * time.Second
 
+// signalLoop is the top frame of the os/signal goroutine.
+const signalLoop = "os/signal.signal_recv("
+
+// goroutineCount returns the number of goroutines running, the os/signal
+// loop aside.
+func goroutineCount() int {
+	n := runtime.NumGoroutine()
+	for _, f := range goroutineTops() {
+		if strings.Contains(f, signalLoop) {
+			n--
+		}
+	}
+	return n
+}
+
 // goroutinesSettle polls until at most n goroutines run, or grace passes.
 func goroutinesSettle(n int, grace time.Duration) bool {
 	for deadline := time.Now().Add(grace); ; time.Sleep(10 * time.Millisecond) {
-		if runtime.NumGoroutine() <= n {
+		if goroutineCount() <= n {
 			return true
 		}
 		if time.Now().After(deadline) {

@@ -260,3 +260,63 @@ func TestDBCompactionRecovery(t *testing.T) {
 		t.Fatalf("pop after compaction recovery = %+v, %v", c2, err)
 	}
 }
+
+// Task bytes are opaque: a payload, result or error message that is not
+// valid UTF-8 reads back byte for byte after replay and after a
+// compaction snapshot, as the live database returned it.
+func TestDBRecoveryKeepsRawBytes(t *testing.T) {
+	const (
+		payload = "\xff\xfe payload"
+		result  = "\x80 result"
+		errMsg  = "\xc3\x28 error"
+	)
+	dir := t.TempDir()
+	db := openDBAt(t, dir)
+	fOK, err := db.Submit("sim", 0, payload)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fBad, err := db.Submit("sim", 0, payload)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, resolve := range []func(*Claim) error{
+		func(c *Claim) error { return c.Complete(result) },
+		func(c *Claim) error { return c.Fail(errMsg) },
+	} {
+		c, err := db.Pop(context.Background(), "sim")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if c.Task.Payload != payload {
+			t.Fatalf("live payload = %q, want %q", c.Task.Payload, payload)
+		}
+		if err := resolve(c); err != nil {
+			t.Fatal(err)
+		}
+	}
+	check := func(stage string, db *DB) {
+		t.Helper()
+		ok, err := db.Get(fOK.TaskID)
+		if err != nil || ok.Payload != payload || ok.Result != result {
+			t.Fatalf("%s: completed task = payload %q result %q (%v), want %q %q", stage, ok.Payload, ok.Result, err, payload, result)
+		}
+		bad, err := db.Get(fBad.TaskID)
+		if err != nil || bad.Payload != payload || bad.ErrMsg != errMsg {
+			t.Fatalf("%s: failed task = payload %q err %q (%v), want %q %q", stage, bad.Payload, bad.ErrMsg, err, payload, errMsg)
+		}
+	}
+	check("live", db)
+	db.wal.Close() // crash: close only the log
+
+	db2 := openDBAt(t, dir)
+	check("replay", db2)
+	if err := db2.Compact(); err != nil {
+		t.Fatal(err)
+	}
+	db2.wal.Close()
+
+	db3 := openDBAt(t, dir)
+	defer db3.wal.Close()
+	check("snapshot", db3)
+}

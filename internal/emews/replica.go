@@ -34,7 +34,6 @@ package emews
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"os"
@@ -251,8 +250,8 @@ func (f *Follower) apply(data []byte) error {
 		if err != nil {
 			return fmt.Errorf("emews: follower frame: %w", err)
 		}
-		var m taskMutation
-		if err := json.Unmarshal(payload, &m); err != nil {
+		m, err := decodeMutation(payload)
+		if err != nil {
 			return fmt.Errorf("emews: follower decode: %w", err)
 		}
 		payloads = append(payloads, payload)

@@ -1,7 +1,6 @@
 package emews
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
 	"hash/fnv"
@@ -272,18 +271,24 @@ func TestWrongShardRedirect(t *testing.T) {
 	}
 }
 
-// dumpBytes is the byte-level equivalence probe for replica tests.
+// dumpBytes is the byte-level equivalence probe for replica tests. It
+// quotes strings byte for byte (JSON would fold invalid UTF-8 into
+// U+FFFD) and drops only the monotonic clock reading, which no log
+// carries.
 func dumpBytes(t *testing.T, tasks []Task) []byte {
 	t.Helper()
-	b, err := json.Marshal(tasks)
-	if err != nil {
-		t.Fatal(err)
+	var b []byte
+	for _, x := range tasks {
+		x.Submitted, x.Started, x.Finished = x.Submitted.Round(0), x.Started.Round(0), x.Finished.Round(0)
+		b = fmt.Appendf(b, "%#v\n", x)
 	}
 	return b
 }
 
 // A follower that tailed a primary's WAL must hold a byte-identical task
-// table: same IDs, payloads, statuses, epochs, attempts, timestamps.
+// table: same IDs, payloads, statuses, epochs, attempts, timestamps. Some
+// payloads, results and error messages are not valid UTF-8, and must be
+// copied byte for byte all the same.
 func TestFollowerReplayEquivalence(t *testing.T) {
 	base := t.TempDir()
 	primaryDir := filepath.Join(base, "primary")
@@ -302,7 +307,7 @@ func TestFollowerReplayEquivalence(t *testing.T) {
 
 	// Generate history: submits, pops, completes, a failure, a requeue.
 	for i := 0; i < 20; i++ {
-		if _, err := db.SubmitRetry("sim", i%3, fmt.Sprintf("p-%d", i), 2); err != nil {
+		if _, err := db.SubmitRetry("sim", i%3, fmt.Sprintf("p-%d\xff\xfe", i), 2); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -313,9 +318,9 @@ func TestFollowerReplayEquivalence(t *testing.T) {
 		}
 		switch i % 3 {
 		case 0:
-			err = c.Complete("done")
+			err = c.Complete("done\x80")
 		case 1:
-			err = c.Fail("transient") // has budget: requeues
+			err = c.Fail("transient\xc3\x28") // has budget: requeues
 		default:
 			err = c.Complete("fine")
 		}

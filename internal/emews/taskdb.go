@@ -15,7 +15,6 @@ package emews
 import (
 	"container/heap"
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"sync"
@@ -159,6 +158,10 @@ type DB struct {
 	// between deciding and committing them, so batching allocates nothing
 	// per op. Guarded by mu; empty between ops.
 	pending []taskMutation
+	// recBuf and recs are persistLocked's reused encode scratch: one
+	// commit's records and their slices of recBuf. Guarded by mu.
+	recBuf []byte
+	recs   [][]byte
 	// shardIndex/shardCount stride the ID sequence so a shard group's
 	// databases allocate disjoint IDs (see ring.go). 0/1 (or 0/0) is the
 	// unsharded default: IDs 1, 2, 3, …
@@ -709,9 +712,7 @@ func (db *DB) Close() {
 	}
 	m := &taskMutation{Op: opDBClose, At: time.Now()}
 	if db.wal != nil {
-		if rec, err := json.Marshal(m); err == nil {
-			_ = db.wal.Append(rec)
-		}
+		_ = db.wal.Append(appendMutation(nil, m))
 	}
 	res, _ := db.applyLocked(m)
 	db.cond.Broadcast()

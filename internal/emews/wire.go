@@ -227,7 +227,9 @@ type wireResponse struct {
 	Data     []byte
 }
 
-var errBadFrame = errors.New("emews: bad wire frame")
+// errBadFrame is wrapped by every decode error of a wire frame or a log
+// record (record.go).
+var errBadFrame = errors.New("emews: malformed frame or record")
 
 // wireBufPool recycles encode/decode buffers end-to-end: frame assembly on
 // the send side, payload reads on the receive side.
@@ -358,10 +360,7 @@ func appendResponsePayload(b []byte, resp *wireResponse) []byte {
 		b = binary.AppendVarint(b, int64(r.Shard))
 	}
 	if resp.Stats != nil {
-		st := resp.Stats
-		for _, v := range []int{st.Queued, st.Running, st.Complete, st.Failed, st.Canceled, st.Submitted} {
-			b = binary.AppendVarint(b, int64(v))
-		}
+		b = appendStats(b, resp.Stats)
 	}
 	return b
 }
@@ -433,19 +432,33 @@ func readFrame(r io.Reader) (code byte, id uint64, payload []byte, err error) {
 
 // ---- decoding ----
 
-// wireReader is a bounds-checked cursor over a frame payload. Every
-// accessor is a no-op once an error is recorded, so call sites can decode
-// straight through and check err once.
+// wireReader is a bounds-checked cursor over a frame payload or a log
+// record (record.go). Every accessor is a no-op once an error is
+// recorded, so call sites can decode straight through and check err once.
+// It accepts only what the encoders write: minimal varints and 0/1 flags.
 type wireReader struct {
 	b   []byte
 	off int
 	err error
 }
 
-func (r *wireReader) fail(what string) {
+func (r *wireReader) failf(format string, args ...any) {
 	if r.err == nil {
-		r.err = fmt.Errorf("%w: truncated %s at offset %d", errBadFrame, what, r.off)
+		r.err = fmt.Errorf("%w: %s at offset %d", errBadFrame, fmt.Sprintf(format, args...), r.off)
 	}
+}
+
+func (r *wireReader) fail(what string) { r.failf("truncated %s", what) }
+
+// minimal checks that the n-byte varint at r.off has no redundant
+// high-order zero group, so it re-encodes to the same bytes.
+func (r *wireReader) minimal(what string, n int) bool {
+	if n > 1 && r.b[r.off+n-1] == 0 {
+		r.failf("non-minimal varint %s", what)
+		return false
+	}
+	r.off += n
+	return true
 }
 
 func (r *wireReader) uvarint(what string) uint64 {
@@ -457,7 +470,9 @@ func (r *wireReader) uvarint(what string) uint64 {
 		r.fail(what)
 		return 0
 	}
-	r.off += n
+	if !r.minimal(what, n) {
+		return 0
+	}
 	return v
 }
 
@@ -470,7 +485,9 @@ func (r *wireReader) varint(what string) int64 {
 		r.fail(what)
 		return 0
 	}
-	r.off += n
+	if !r.minimal(what, n) {
+		return 0
+	}
 	return v
 }
 
@@ -508,32 +525,63 @@ func (r *wireReader) bytes(what string) []byte {
 	return out
 }
 
-func (r *wireReader) boolByte(what string) bool {
+func (r *wireReader) u8(what string) byte {
 	if r.err != nil {
-		return false
+		return 0
 	}
 	if r.off >= len(r.b) {
 		r.fail(what)
-		return false
+		return 0
 	}
 	v := r.b[r.off]
 	r.off++
-	return v != 0
+	return v
+}
+
+func (r *wireReader) boolByte(what string) bool {
+	v := r.u8(what)
+	if v > 1 {
+		r.failf("flag %s is %d", what, v)
+	}
+	return v == 1
 }
 
 // count validates a list length against both the batch cap and the bytes
+// actually present.
+func (r *wireReader) count(what string) int { return r.listLen(what, maxWireBatch) }
+
+// listLen reads a list length and bounds it by limit and by the bytes
 // actually present (each element needs at least one byte), so a hostile
 // length cannot force a huge allocation.
-func (r *wireReader) count(what string) int {
+func (r *wireReader) listLen(what string, limit uint64) int {
 	n := r.uvarint(what)
 	if r.err != nil {
 		return 0
 	}
-	if n > maxWireBatch || n > uint64(len(r.b)-r.off) {
+	if n > limit || n > uint64(len(r.b)-r.off) {
 		r.fail(what + " count")
 		return 0
 	}
 	return int(n)
+}
+
+// appendStats writes the occupancy counters in a fixed order.
+func appendStats(b []byte, st *Stats) []byte {
+	for _, v := range [...]int{st.Queued, st.Running, st.Complete, st.Failed, st.Canceled, st.Submitted} {
+		b = binary.AppendVarint(b, int64(v))
+	}
+	return b
+}
+
+func (r *wireReader) stats() Stats {
+	var st Stats
+	st.Queued = int(r.varint("stats queued"))
+	st.Running = int(r.varint("stats running"))
+	st.Complete = int(r.varint("stats complete"))
+	st.Failed = int(r.varint("stats failed"))
+	st.Canceled = int(r.varint("stats canceled"))
+	st.Submitted = int(r.varint("stats submitted"))
+	return st
 }
 
 func decodeRequestPayload(code byte, payload []byte) (wireRequest, error) {
@@ -617,13 +665,7 @@ func decodeResponsePayload(code byte, payload []byte) (wireResponse, error) {
 			resp.Results = make([]wireResult, 0, n)
 			for i := 0; i < n; i++ {
 				var res wireResult
-				rf := byte(0)
-				if r.err == nil && r.off < len(r.b) {
-					rf = r.b[r.off]
-					r.off++
-				} else {
-					r.fail("result flags")
-				}
+				rf := r.u8("result flags")
 				res.OK = rf&respOK != 0
 				res.Stale = rf&respStale != 0
 				res.WrongShard = rf&respWrongShard != 0
@@ -633,13 +675,7 @@ func decodeResponsePayload(code byte, payload []byte) (wireResponse, error) {
 			}
 		}
 		if flags&respHasStats != 0 {
-			var st Stats
-			st.Queued = int(r.varint("stats queued"))
-			st.Running = int(r.varint("stats running"))
-			st.Complete = int(r.varint("stats complete"))
-			st.Failed = int(r.varint("stats failed"))
-			st.Canceled = int(r.varint("stats canceled"))
-			st.Submitted = int(r.varint("stats submitted"))
+			st := r.stats()
 			resp.Stats = &st
 		}
 	}
