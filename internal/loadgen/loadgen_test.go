@@ -8,6 +8,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"osprey/internal/obs"
 )
 
 // Two plans built from the same config must be byte-identical; changing
@@ -430,5 +432,44 @@ func TestClosedLoopNoFaults(t *testing.T) {
 				t.Fatalf("ingests planned despite IngestRate<0: %d", r.Totals.PlanIngests)
 			}
 		})
+	}
+}
+
+// A torn crash must still hand recovery a torn record. crash closes the
+// task log, which truncates its zero-filled tail, so tearTail's cut lands
+// in the last commit rather than in zeros, and replay counts a damaged
+// tail.
+func TestTornCrashTruncatesTail(t *testing.T) {
+	if testing.Short() {
+		t.Skip("soak harness in -short mode")
+	}
+	faults, err := ParseFaults("300ms:torn-crash")
+	if err != nil {
+		t.Fatal(err)
+	}
+	truncated := obs.GetCounter("wal.loadgen.shard0.truncated_tail")
+	before := truncated.Value()
+	r, err := Run(Config{
+		Seed:         11,
+		Duration:     600 * time.Millisecond,
+		Rate:         100,
+		Workers:      4,
+		IngestRate:   -1,
+		ScrapeEvery:  100 * time.Millisecond,
+		Faults:       faults,
+		DrainTimeout: 30 * time.Second,
+		Logf:         t.Logf,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !r.Pass {
+		t.Fatalf("failed invariants: %v", r.FailedInvariants())
+	}
+	if r.Totals.TornCrashes != 1 {
+		t.Fatalf("torn crashes = %d, want 1", r.Totals.TornCrashes)
+	}
+	if got := truncated.Value() - before; got < 1 {
+		t.Fatalf("wal.loadgen.shard0.truncated_tail moved by %d across a torn crash, want >= 1", got)
 	}
 }

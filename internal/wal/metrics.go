@@ -9,6 +9,7 @@ import "osprey/internal/obs"
 //	<name>.appends         records appended
 //	<name>.bytes           framed bytes written
 //	<name>.fsyncs          fsync syscalls issued
+//	<name>.sync            latency of each of those flushes (histogram)
 //	<name>.snapshots       snapshots written (compactions)
 //	<name>.truncated_tail  damaged tails truncated + segments dropped
 //	<name>.replays         recoveries performed
@@ -18,6 +19,7 @@ type metrics struct {
 	appends      *obs.Counter
 	bytes        *obs.Counter
 	fsyncs       *obs.Counter
+	sync         *obs.Histogram
 	snapshots    *obs.Counter
 	truncated    *obs.Counter
 	replays      *obs.Counter
@@ -30,6 +32,7 @@ func newMetrics(name string) *metrics {
 		appends:      obs.GetCounter(name + ".appends"),
 		bytes:        obs.GetCounter(name + ".bytes"),
 		fsyncs:       obs.GetCounter(name + ".fsyncs"),
+		sync:         obs.GetHistogram(name + ".sync"),
 		snapshots:    obs.GetCounter(name + ".snapshots"),
 		truncated:    obs.GetCounter(name + ".truncated_tail"),
 		replays:      obs.GetCounter(name + ".replays"),

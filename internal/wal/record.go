@@ -28,6 +28,12 @@ var ErrShortRecord = errors.New("wal: short record (torn tail)")
 // payload, or whose declared length is implausible.
 var ErrCorruptRecord = errors.New("wal: corrupt record")
 
+// errZeroHeader reports data after a zero length field. Append never
+// writes a zero-length record, so a zero length field is where the log
+// ends, and anything non-zero past it is the stale remnant of a commit
+// whose start never reached the disk.
+var errZeroHeader = fmt.Errorf("%w: data after a zero length field", ErrCorruptRecord)
+
 // EncodeRecord appends the framed form of payload to dst and returns the
 // extended slice.
 func EncodeRecord(dst, payload []byte) []byte {
@@ -59,4 +65,31 @@ func ParseRecord(b []byte, maxLen int) (payload []byte, n int, err error) {
 		return nil, 0, fmt.Errorf("%w: checksum mismatch", ErrCorruptRecord)
 	}
 	return payload, headerSize + int(ln), nil
+}
+
+// parseLogRecord is ParseRecord for a segment, whose active tail is
+// zero-filled: a zero length field ends the log, returning n == 0 with no
+// error when only zeros follow and errZeroHeader when anything else does.
+func parseLogRecord(b []byte, maxLen int) (payload []byte, n int, err error) {
+	if !zeroLength(b) {
+		return ParseRecord(b, maxLen)
+	}
+	if !allZero(b) {
+		return nil, 0, errZeroHeader
+	}
+	return nil, 0, nil
+}
+
+// zeroLength reports whether b starts with a zero length field (or with
+// zeros up to its end, if shorter): where a segment's records end.
+func zeroLength(b []byte) bool { return allZero(b[:min(len(b), 4)]) }
+
+// allZero reports whether every byte of b is zero.
+func allZero(b []byte) bool {
+	for _, c := range b {
+		if c != 0 {
+			return false
+		}
+	}
+	return true
 }

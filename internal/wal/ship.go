@@ -1,6 +1,7 @@
 package wal
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
@@ -85,8 +86,10 @@ func (l *Log) ReadAt(seg int, off int64, maxBytes int) (data []byte, nextSeg int
 
 // ReadDirAt is ReadAt over a log directory with no open Log — the
 // coordinator's catch-up path from a dead primary's data dir. The caller
-// must know the process that owned the directory is gone. maxRecordBytes
-// <= 0 uses DefaultMaxRecordBytes.
+// must know the process that owned the directory is gone. The newest
+// segment's records end where Replay would truncate it: at its first zero
+// length field or damaged frame. maxRecordBytes <= 0 uses
+// DefaultMaxRecordBytes.
 func ReadDirAt(dir string, seg int, off int64, maxBytes, maxRecordBytes int) (data []byte, nextSeg int, nextOff int64, err error) {
 	if maxRecordBytes <= 0 {
 		maxRecordBytes = DefaultMaxRecordBytes
@@ -108,12 +111,14 @@ func ReadDirAt(dir string, seg int, off int64, maxBytes, maxRecordBytes int) (da
 	segPath := func(idx int) string {
 		return filepath.Join(dir, fmt.Sprintf("seg-%08d.wal", idx))
 	}
-	// No size clamp on the last segment: the writer is dead.
+	// No size clamp on the last segment: the writer is dead, and its tail
+	// is wherever the records stop.
 	return shipRead(segPath, segIdx[0], segIdx[len(segIdx)-1], -1, seg, off, maxBytes, maxRecordBytes)
 }
 
 // shipRead walks segments from (seg, off) collecting whole framed
-// records. activeSize >= 0 clamps reads of the active segment.
+// records. activeSize >= 0 clamps reads of the active segment; < 0 marks
+// a dead writer, whose last segment may end in a torn commit.
 func shipRead(segPath func(int) string, first, active int, activeSize int64, seg int, off int64, maxBytes, maxRec int) ([]byte, int, int64, error) {
 	if maxBytes <= 0 {
 		maxBytes = DefaultShipBytes
@@ -126,7 +131,8 @@ func shipRead(segPath func(int) string, first, active int, activeSize int64, seg
 		if seg == active && activeSize >= 0 {
 			limit = activeSize
 		}
-		data, consumed, err := readSegmentAt(segPath(seg), off, limit, maxBytes, maxRec)
+		tail := seg == active && activeSize < 0
+		data, consumed, err := readSegmentAt(segPath(seg), off, limit, tail, maxBytes, maxRec)
 		if err != nil {
 			if os.IsNotExist(err) {
 				return nil, 0, 0, ErrCompacted
@@ -137,8 +143,9 @@ func shipRead(segPath func(int) string, first, active int, activeSize int64, seg
 			return data, seg, off + consumed, nil
 		}
 		if seg < active {
-			// Sealed and exhausted at this offset; every record in a sealed
-			// segment is a complete frame, so move to the next one.
+			// Sealed and exhausted at this offset (at its end, or at a zero
+			// tail a crash kept from being truncated); every record in a
+			// sealed segment is a complete frame, so move to the next one.
 			seg, off = seg+1, 0
 			continue
 		}
@@ -149,9 +156,11 @@ func shipRead(segPath func(int) string, first, active int, activeSize int64, seg
 // readSegmentAt reads the whole framed records of one segment file
 // starting at off, up to roughly maxBytes (always at least one record
 // when a complete one is present, even if it alone exceeds maxBytes).
-// limit >= 0 caps the readable file size. A trailing partial frame is
-// left for the next call; a corrupt frame is an error.
-func readSegmentAt(path string, off, limit int64, maxBytes, maxRec int) (data []byte, consumed int64, err error) {
+// limit >= 0 caps the readable file size. A zero length field ends the
+// segment's records. A trailing partial frame is left for the next call;
+// a corrupt frame is an error, except in the tail segment of a dead
+// writer, where it is the torn last commit and ends the records too.
+func readSegmentAt(path string, off, limit int64, tail bool, maxBytes, maxRec int) (data []byte, consumed int64, err error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, 0, err
@@ -179,37 +188,46 @@ func readSegmentAt(path string, off, limit int64, maxBytes, maxRec int) (data []
 	}
 	buf = buf[:n]
 
+	// parseErr judges a frame that did not parse at off+at: a partial
+	// frame waits for the next call, and so, for a dead writer's tail,
+	// does anything else, since no later call gets past it either.
+	parseErr := func(at int, perr error) error {
+		if errors.Is(perr, ErrShortRecord) || tail {
+			return nil
+		}
+		return fmt.Errorf("wal: ship parse %s at %d: %w", path, off+int64(at), perr)
+	}
 	parsed := 0
 	for parsed < len(buf) {
+		if zeroLength(buf[parsed:]) {
+			return buf[:parsed], int64(parsed), nil
+		}
 		_, rn, perr := ParseRecord(buf[parsed:], maxRec)
 		if perr != nil {
-			if errors.Is(perr, ErrShortRecord) {
-				break
+			if err := parseErr(parsed, perr); err != nil {
+				return nil, 0, err
 			}
-			return nil, 0, fmt.Errorf("wal: ship parse %s at %d: %w", path, off+int64(parsed), perr)
+			break
 		}
 		parsed += rn
 	}
-	if parsed == 0 && off+int64(len(buf)) < size {
+	if parsed == 0 && off+int64(len(buf)) < size && len(buf) >= headerSize {
 		// A single record longer than maxBytes straddles the window: read
 		// exactly that record so the cursor always makes progress.
-		if len(buf) >= headerSize {
-			ln := int64(uint32(buf[0]) | uint32(buf[1])<<8 | uint32(buf[2])<<16 | uint32(buf[3])<<24)
-			if maxRec > 0 && ln > int64(maxRec) {
-				return nil, 0, fmt.Errorf("wal: ship parse %s at %d: %w", path, off, ErrCorruptRecord)
+		ln := int64(binary.LittleEndian.Uint32(buf))
+		if maxRec > 0 && ln > int64(maxRec) {
+			return nil, 0, parseErr(0, ErrCorruptRecord)
+		}
+		if need := headerSize + ln; off+need <= size {
+			big := make([]byte, need)
+			if _, err := readFullAt(f, big, off); err != nil {
+				return nil, 0, fmt.Errorf("wal: ship read %s: %w", path, err)
 			}
-			need := headerSize + ln
-			if off+need <= size {
-				big := make([]byte, need)
-				if _, err := readFullAt(f, big, off); err != nil {
-					return nil, 0, fmt.Errorf("wal: ship read %s: %w", path, err)
-				}
-				if _, rn, perr := ParseRecord(big, maxRec); perr == nil {
-					return big[:rn], int64(rn), nil
-				} else if !errors.Is(perr, ErrShortRecord) {
-					return nil, 0, fmt.Errorf("wal: ship parse %s at %d: %w", path, off, perr)
-				}
+			_, rn, perr := ParseRecord(big, maxRec)
+			if perr == nil {
+				return big[:rn], int64(rn), nil
 			}
+			return nil, 0, parseErr(0, perr)
 		}
 	}
 	return buf[:parsed], int64(parsed), nil

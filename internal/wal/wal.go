@@ -22,11 +22,21 @@
 // boot.
 //
 // One Append call is one commit: every record it carries is framed with
-// EncodeRecord into one buffer, written with a single write syscall, and
-// the fsync policy (SyncAlways, SyncInterval, SyncNever) is applied once
-// per call, trading durability of the most recent commits for throughput.
-// A crash mid-write leaves a prefix of the call's records on disk, which
-// recovery replays up to the torn tail. Everything is stdlib-only.
+// EncodeRecord into one buffer and written at the segment's logical end,
+// and the fsync policy (SyncAlways, SyncInterval, SyncNever) is applied
+// once per call, trading durability of the most recent commits for
+// throughput. A crash mid-write leaves a prefix of the call's records on
+// disk, which recovery replays up to the torn tail.
+//
+// The active segment is zero-filled ahead of its logical end, so a
+// commit overwrites blocks the file already has and its flush is an
+// fdatasync that need not commit the filesystem journal (on Linux; other
+// platforms fsync). A zero length field therefore marks the end of the
+// log, and Append rejects a zero-length record, whose frame would be
+// eight zero bytes. Rotation and Close truncate the segment to its
+// logical end; Replay truncates a zero tail left by a crash, along with
+// anything after it, so stale bytes past the end never come back.
+// Everything is stdlib-only.
 package wal
 
 import (
@@ -92,6 +102,15 @@ const (
 	DefaultSyncEvery      = 100 * time.Millisecond
 )
 
+// zeroFillMax caps one zero-fill of the active segment: each fill extends
+// the zero-filled tail by the segment's current size, up to 1 MiB, so a
+// small log stays small and a large one pays one extending flush per MiB.
+const zeroFillMax = 1 << 20
+
+// zeros is the source of zero-fill writes; it sits in BSS, so reading it
+// costs no resident memory.
+var zeros [zeroFillMax]byte
+
 // Options configures a Log. The zero value is usable: 8 MiB segments,
 // fsync on every append, 16 MiB record cap, warnings to the standard
 // logger, metrics under the "wal" prefix.
@@ -127,7 +146,8 @@ type Log struct {
 	mu       sync.Mutex
 	f        *os.File // active segment (nil until Replay finishes)
 	seg      int      // active segment index
-	size     int64    // active segment size
+	size     int64    // active segment's logical end: the next commit's offset
+	zeroed   int64    // active segment's file size: size plus its zero-filled tail
 	segs     []int    // live segment indices, ascending; last is active
 	snapIdx  int      // newest readable snapshot index (0 = none)
 	snap     []byte   // snapshot payload, released after Replay
@@ -260,9 +280,11 @@ func (l *Log) Snapshot() ([]byte, bool) {
 }
 
 // Replay invokes apply for every record after the snapshot, oldest first,
-// then opens the log for appending. A torn or corrupt tail is truncated
-// with a warning (and any segments after the damage are dropped, since
-// ordering past it is unsafe); an apply error aborts recovery. Replay
+// then opens the log for appending. A torn or corrupt tail — including
+// non-zero bytes after a zero length field — is truncated with a warning
+// (and any segments after the damage are dropped, since ordering past it
+// is unsafe); a tail of only zeros, left by a writer that never closed
+// its log, is truncated silently. An apply error aborts recovery. Replay
 // must be called exactly once, even on a fresh directory.
 func (l *Log) Replay(apply func(rec []byte) error) (int, error) {
 	l.mu.Lock()
@@ -283,7 +305,16 @@ func (l *Log) Replay(apply func(rec []byte) error) (int, error) {
 		}
 		off, damaged := 0, false
 		for off < len(data) {
-			payload, n, err := ParseRecord(data[off:], l.opts.MaxRecordBytes)
+			payload, n, err := parseLogRecord(data[off:], l.opts.MaxRecordBytes)
+			if err == nil && n == 0 {
+				// The zero-filled tail of a segment its writer never
+				// closed: the log ends here, and the tail goes so the
+				// file again ends at its logical end.
+				if terr := os.Truncate(path, int64(off)); terr != nil {
+					return count, fmt.Errorf("wal: truncate zero tail: %w", terr)
+				}
+				break
+			}
 			if err != nil {
 				l.opts.Logf("wal: %s: %v at offset %d; truncating %d damaged byte(s)",
 					filepath.Base(path), err, off, len(data)-off)
@@ -318,7 +349,7 @@ func (l *Log) Replay(apply func(rec []byte) error) (int, error) {
 	if active < 1 {
 		active = 1
 	}
-	f, err := os.OpenFile(l.segPath(active), os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
+	f, err := os.OpenFile(l.segPath(active), os.O_CREATE|os.O_WRONLY, 0o644)
 	if err != nil {
 		return count, fmt.Errorf("wal: %w", err)
 	}
@@ -331,7 +362,7 @@ func (l *Log) Replay(apply func(rec []byte) error) (int, error) {
 		l.segs = []int{active}
 		l.syncDir()
 	}
-	l.f, l.seg, l.size = f, active, st.Size()
+	l.f, l.seg, l.size, l.zeroed = f, active, st.Size(), st.Size()
 	l.snap = nil
 	l.replayed = true
 	l.lastSync = time.Now()
@@ -342,10 +373,12 @@ func (l *Log) Replay(apply func(rec []byte) error) (int, error) {
 }
 
 // Append durably appends recs as one commit: all records are framed into
-// one buffer and written with a single syscall, and the fsync policy is
-// applied once for the whole call. A record over MaxRecordBytes rejects the
-// call before anything is written. The stores built on a Log are
-// fail-stop: a mutation is applied to memory only after Append succeeded.
+// one buffer and written at the active segment's logical end, and the
+// fsync policy is applied once for the whole call. An empty or
+// over-MaxRecordBytes record rejects the call before anything is written
+// (an empty record's frame is all zeros, which reads back as the end of
+// the log). The stores built on a Log are fail-stop: a mutation is
+// applied to memory only after Append succeeded.
 func (l *Log) Append(recs ...[]byte) error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -360,15 +393,25 @@ func (l *Log) Append(recs ...[]byte) error {
 	}
 	l.buf = l.buf[:0]
 	for _, rec := range recs {
+		if len(rec) == 0 {
+			return errors.New("wal: empty record")
+		}
 		if len(rec) > l.opts.MaxRecordBytes {
 			return fmt.Errorf("wal: record of %d bytes exceeds MaxRecordBytes %d", len(rec), l.opts.MaxRecordBytes)
 		}
 		l.buf = EncodeRecord(l.buf, rec)
 	}
-	if _, err := l.f.Write(l.buf); err != nil {
+	end := l.size + int64(len(l.buf))
+	if end > l.zeroed {
+		if err := l.zeroFillLocked(end); err != nil {
+			return err
+		}
+	}
+	if _, err := l.f.WriteAt(l.buf, l.size); err != nil {
 		return fmt.Errorf("wal: append: %w", err)
 	}
-	l.size += int64(len(l.buf))
+	l.size = end
+	l.zeroed = max(l.zeroed, end)
 	l.dirty = true
 	l.met.appends.Add(int64(len(recs)))
 	l.met.bytes.Add(int64(len(l.buf)))
@@ -388,6 +431,26 @@ func (l *Log) Append(recs ...[]byte) error {
 	}
 	if l.size >= l.opts.SegmentBytes {
 		return l.rotateLocked()
+	}
+	return nil
+}
+
+// zeroFillLocked extends the active segment's zero-filled tail ahead of a
+// commit that will end at end: by the segment's current size, at most
+// zeroFillMax, never past SegmentBytes, and not at all on an empty
+// segment. The commit's own write fills any gap below end. Commits then
+// overwrite allocated blocks, so most flushes move no file metadata.
+func (l *Log) zeroFillLocked(end int64) error {
+	target := min(end+min(l.size, zeroFillMax), max(end, l.opts.SegmentBytes))
+	for off := end; off < target; {
+		n, err := l.f.WriteAt(zeros[:min(target-off, zeroFillMax)], off)
+		if err != nil {
+			return fmt.Errorf("wal: zero-fill: %w", err)
+		}
+		off += int64(n)
+	}
+	if target > end {
+		l.zeroed = target
 	}
 	return nil
 }
@@ -415,7 +478,7 @@ func (l *Log) stopFlushLocked() {
 	}
 }
 
-// Sync forces an fsync of the active segment.
+// Sync forces a flush of the active segment.
 func (l *Log) Sync() error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -426,17 +489,23 @@ func (l *Log) Sync() error {
 }
 
 func (l *Log) syncLocked() error {
-	if err := l.f.Sync(); err != nil {
+	start := time.Now()
+	if err := fdatasync(l.f); err != nil {
 		return fmt.Errorf("wal: fsync: %w", err)
 	}
 	l.lastSync = time.Now()
+	l.met.sync.Observe(l.lastSync.Sub(start))
 	l.dirty = false
 	l.met.fsyncs.Inc()
 	return nil
 }
 
-// rotateLocked closes the active segment and starts the next one.
+// rotateLocked seals the active segment at its logical end and starts
+// the next one.
 func (l *Log) rotateLocked() error {
+	if err := l.truncateTailLocked(); err != nil {
+		return err
+	}
 	if err := l.syncLocked(); err != nil {
 		return err
 	}
@@ -444,11 +513,11 @@ func (l *Log) rotateLocked() error {
 		return fmt.Errorf("wal: %w", err)
 	}
 	next := l.seg + 1
-	f, err := os.OpenFile(l.segPath(next), os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
+	f, err := os.OpenFile(l.segPath(next), os.O_CREATE|os.O_WRONLY, 0o644)
 	if err != nil {
 		return fmt.Errorf("wal: %w", err)
 	}
-	l.f, l.seg, l.size = f, next, 0
+	l.f, l.seg, l.size, l.zeroed = f, next, 0, 0
 	l.segs = append(l.segs, next)
 	l.syncDir()
 	l.met.segments.Set(int64(len(l.segs)))
@@ -501,7 +570,7 @@ func (l *Log) WriteSnapshot(state []byte) error {
 	if err := l.f.Close(); err != nil {
 		return fmt.Errorf("wal: %w", err)
 	}
-	nf, err := os.OpenFile(l.segPath(newIdx), os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
+	nf, err := os.OpenFile(l.segPath(newIdx), os.O_CREATE|os.O_WRONLY, 0o644)
 	if err != nil {
 		return fmt.Errorf("wal: %w", err)
 	}
@@ -517,7 +586,7 @@ func (l *Log) WriteSnapshot(state []byte) error {
 			}
 		}
 	}
-	l.f, l.seg, l.size = nf, newIdx, 0
+	l.f, l.seg, l.size, l.zeroed = nf, newIdx, 0, 0
 	l.segs = []int{newIdx}
 	l.snapIdx = newIdx
 	l.syncDir()
@@ -544,8 +613,8 @@ func (l *Log) Size() int64 {
 	return total
 }
 
-// Close fsyncs and closes the active segment. Further operations return
-// ErrClosed.
+// Close truncates the active segment to its logical end, flushes and
+// closes it. Further operations return ErrClosed.
 func (l *Log) Close() error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -557,12 +626,30 @@ func (l *Log) Close() error {
 	if l.f == nil {
 		return nil
 	}
-	err := l.syncLocked()
+	err := l.truncateTailLocked()
+	if serr := l.syncLocked(); err == nil {
+		err = serr
+	}
 	if cerr := l.f.Close(); err == nil {
 		err = cerr
 	}
 	l.f = nil
 	return err
+}
+
+// truncateTailLocked drops the active segment's zero-filled tail, so a
+// sealed segment or a closed log ends at its last record. The flush that
+// follows makes the new size durable; until then a crash leaves a zero
+// tail, which Replay truncates in turn.
+func (l *Log) truncateTailLocked() error {
+	if l.zeroed == l.size {
+		return nil
+	}
+	if err := l.f.Truncate(l.size); err != nil {
+		return fmt.Errorf("wal: truncate zero tail: %w", err)
+	}
+	l.zeroed = l.size
+	return nil
 }
 
 // syncDir fsyncs the directory so renames and new files survive a crash.
