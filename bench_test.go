@@ -693,11 +693,11 @@ func BenchmarkSubstrateThroughput(b *testing.B) {
 // BenchmarkSubstrateThroughputSharded measures the routed shard-group
 // path end to end over real TCP at batch 16: per shard an in-memory task
 // DB carrying its shard identity behind its own listener, workers driving
-// pop_batch/finish_batch through a ShardedClient (fan-out with the
+// pop_batch/finish_batch through a shard-group Client (fan-out with the
 // deterministic merge), and ring-keyed batch submits from a routed
-// driver. shards-1 isolates the routing layer's overhead against the
-// direct binary-b16 path; shards-3 adds the fan-out and lets the shards
-// drain in parallel where cores allow. Reported metric: tasks/s.
+// driver. shards-1 is binary-b16's path with shard identities on the
+// servers; shards-3 adds the fan-out over several members and lets the
+// shards drain in parallel where cores allow. Reported metric: tasks/s.
 func BenchmarkSubstrateThroughputSharded(b *testing.B) {
 	const workers = 4
 	const batch = 16

@@ -71,7 +71,7 @@ func TestDistributedDeployment(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer taskSrv.Close()
-	pool, err := emews.StartRemotePool(taskSrv.Addr(), "remote-model", 4,
+	pool, err := emews.StartRemotePool([]string{taskSrv.Addr()}, "remote-model", 4, 1,
 		func(ctx context.Context, payload string) (string, error) {
 			var task struct {
 				X    []float64 `json:"x"`

@@ -249,7 +249,7 @@ func TestRemotePoolSurvivesConnectionChurn(t *testing.T) {
 
 	var mu sync.Mutex
 	completions := map[string]int{} // payload -> handler completions that stuck
-	pool, err := StartRemotePool(proxy.Addr(), "m", 4, func(ctx context.Context, payload string) (string, error) {
+	pool, err := StartRemotePool([]string{proxy.Addr()}, "m", 4, 1, func(ctx context.Context, payload string) (string, error) {
 		time.Sleep(2 * time.Millisecond) // widen the kill window
 		return "ok:" + payload, nil
 	})

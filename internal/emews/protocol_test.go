@@ -651,7 +651,7 @@ func TestBatchedPoolSurvivesConnectionChurn(t *testing.T) {
 	defer srv.Close()
 	proxy := newFaultProxy(t, srv.Addr())
 
-	pool, err := StartRemotePoolBatched(proxy.Addr(), "m", 4, 8, func(ctx context.Context, payload string) (string, error) {
+	pool, err := StartRemotePool([]string{proxy.Addr()}, "m", 4, 8, func(ctx context.Context, payload string) (string, error) {
 		time.Sleep(2 * time.Millisecond) // widen the kill window
 		return "ok:" + payload, nil
 	})

@@ -1,3 +1,11 @@
+// Remote worker pool: workers that consume tasks from a task database
+// over the TCP wire protocol — the EMEWS deployment shape where worker
+// pools live on a different resource than the ME algorithm and the
+// database, and meet them only through the database. Each worker holds
+// its own Client on the shard group, so it pops across every member
+// (pop_batch fan-out), resolves each lease with one finish_batch per
+// owning member, and rides out a member's outage on the client's
+// redial-with-backoff.
 package emews
 
 import (
@@ -7,11 +15,9 @@ import (
 	"time"
 )
 
-// RemotePool runs workers that consume tasks from a task database over the
-// TCP wire protocol — the EMEWS deployment shape where worker pools live on
-// a different resource than the ME algorithm and the database.
+// RemotePool runs workers that consume tasks from a task database shard
+// group over the TCP wire protocol.
 type RemotePool struct {
-	addr     string
 	taskType string
 	handler  Handler
 	batch    int
@@ -20,85 +26,59 @@ type RemotePool struct {
 	wg     sync.WaitGroup
 
 	mu        sync.Mutex
-	workers   int
 	processed int
 	failed    int
 	stale     int
 }
 
-// StartRemotePool connects `workers` TCP workers to the database served at
-// addr and begins consuming tasks of taskType, one task per lease. Each
-// worker holds its own connection; the underlying Client transparently
-// reconnects with exponential backoff when the connection drops, and
-// every resolution is fenced with the claim's attempt epoch.
-func StartRemotePool(addr, taskType string, workers int, handler Handler) (*RemotePool, error) {
-	return StartRemotePoolBatched(addr, taskType, workers, 1, handler)
-}
-
-// StartRemotePoolBatched is StartRemotePool with larger leases: each
-// worker leases up to batch tasks per round trip (pop_batch) and resolves
-// them together (finish_batch), amortizing the network exchange over the
-// batch.
-func StartRemotePoolBatched(addr, taskType string, workers, batch int, handler Handler) (*RemotePool, error) {
+// StartRemotePool starts `workers` workers consuming tasks of taskType
+// from the shard group whose member i listens on addrs[i] (one address
+// for a lone server). Each worker leases up to batch tasks per pop_batch
+// and resolves them together in one FinishBatch, every resolution fenced
+// with the claim's attempt epoch. A one-address pool connects eagerly, so
+// an unreachable server fails here; a larger group connects lazily, like
+// DialShardGroup, so a pool can start while a member is mid-failover.
+func StartRemotePool(addrs []string, taskType string, workers, batch int, handler Handler) (*RemotePool, error) {
 	if workers <= 0 {
 		return nil, errors.New("emews: remote pool needs at least one worker")
 	}
 	if handler == nil {
 		return nil, errors.New("emews: remote pool needs a handler")
 	}
-	if batch < 1 {
-		batch = 1
+	clients := make([]*Client, workers)
+	for i := range clients {
+		var cl *Client
+		var err error
+		if len(addrs) == 1 {
+			cl, err = Dial(addrs[0])
+		} else {
+			cl, err = DialShardGroup(addrs)
+		}
+		if err != nil {
+			for _, c := range clients[:i] {
+				c.Close()
+			}
+			return nil, err
+		}
+		clients[i] = cl
 	}
 	ctx, cancel := context.WithCancel(context.Background())
-	p := &RemotePool{addr: addr, taskType: taskType, handler: handler, batch: batch, cancel: cancel, workers: workers}
-
-	// Verify connectivity before declaring success.
-	probe, err := Dial(addr, WithRetries(0))
-	if err != nil {
-		cancel()
-		return nil, err
-	}
-	probe.Close()
-
-	for i := 0; i < workers; i++ {
+	p := &RemotePool{taskType: taskType, handler: handler, batch: max(batch, 1), cancel: cancel}
+	for _, cl := range clients {
 		p.wg.Add(1)
-		go p.worker(ctx)
+		go p.worker(ctx, cl)
 	}
 	return p, nil
 }
 
-func (p *RemotePool) worker(ctx context.Context) {
+func (p *RemotePool) worker(ctx context.Context, cl *Client) {
 	defer p.wg.Done()
-	var client *Client
-	defer func() {
-		if client != nil {
-			client.Close()
-		}
-	}()
-	for {
-		if ctx.Err() != nil {
-			return
-		}
-		if client == nil {
-			c, err := Dial(p.addr)
-			if err != nil {
-				// Server gone or unreachable; back off briefly.
-				select {
-				case <-ctx.Done():
-					return
-				case <-time.After(50 * time.Millisecond):
-				}
-				continue
-			}
-			client = c
-		}
-		tasks, err := client.PopBatch(p.taskType, p.batch, 200*time.Millisecond)
+	defer cl.Close()
+	for ctx.Err() == nil {
+		tasks, err := cl.PopBatch(p.taskType, p.batch, 200*time.Millisecond)
 		if err != nil {
-			// The client already retried over fresh connections; treat a
-			// persistent failure as "server unavailable" and redial from
-			// scratch after a pause.
-			client.Close()
-			client = nil
+			// The client already retried and keeps redialing with
+			// backoff; pause so a group that is down cannot spin us.
 			select {
 			case <-ctx.Done():
 				return
@@ -123,19 +103,14 @@ func (p *RemotePool) worker(ctx context.Context) {
 				fins[i] = FinishOp{TaskID: task.ID, Epoch: task.Epoch, Result: result}
 			}
 		}
-		resolveErrs, err := client.FinishBatch(fins)
-		if err != nil {
-			// The exchange itself failed; every resolution is unknown.
-			// The server's connection cleanup requeues the claims.
-			resolveErrs = make([]error, len(fins))
-			for i := range resolveErrs {
-				resolveErrs[i] = err
-			}
-		}
+		// When the exchange fails (wholesale, or for one member), those
+		// resolutions are unknown and the server's connection cleanup
+		// requeues the claims; only stale rejections are counted apart.
+		resolveErrs, _ := cl.FinishBatch(fins)
 		p.mu.Lock()
 		for i := range fins {
 			switch {
-			case errors.Is(resolveErrs[i], ErrStaleClaim):
+			case resolveErrs != nil && errors.Is(resolveErrs[i], ErrStaleClaim):
 				p.stale++
 				mPoolStale.Inc()
 			case handlerFailed[i]:

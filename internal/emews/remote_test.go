@@ -2,6 +2,7 @@ package emews
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"strings"
 	"sync/atomic"
@@ -9,16 +10,31 @@ import (
 	"time"
 )
 
+// A remote pool drains a lone server, and every member of a 2-shard
+// group through its pop fan-out.
 func TestRemotePoolProcessesTasks(t *testing.T) {
-	db := NewDB()
-	defer db.Close()
-	srv, err := Serve(db, "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
+	t.Run("one_address", func(t *testing.T) { testRemotePoolProcessesTasks(t, 1) })
+	t.Run("2-shard_group", func(t *testing.T) { testRemotePoolProcessesTasks(t, 2) })
+}
 
-	pool, err := StartRemotePool(srv.Addr(), "m", 3, func(ctx context.Context, payload string) (string, error) {
+func testRemotePoolProcessesTasks(t *testing.T, shards int) {
+	var dbs []*DB
+	var addrs []string
+	for i := 0; i < shards; i++ {
+		db, err := NewDBShard(i, shards)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer db.Close()
+		srv, err := Serve(db, "127.0.0.1:0", WithShardIdentity(i, shards))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer srv.Close()
+		dbs, addrs = append(dbs, db), append(addrs, srv.Addr())
+	}
+
+	pool, err := StartRemotePool(addrs, "m", 3, 1, func(ctx context.Context, payload string) (string, error) {
 		return "R:" + payload, nil
 	})
 	if err != nil {
@@ -28,7 +44,7 @@ func TestRemotePoolProcessesTasks(t *testing.T) {
 
 	var futures []*Future
 	for i := 0; i < 12; i++ {
-		f, err := db.Submit("m", 0, fmt.Sprintf("t%d", i))
+		f, err := dbs[i%shards].Submit("m", 0, fmt.Sprintf("t%d", i))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -64,7 +80,7 @@ func TestRemotePoolHandlerErrors(t *testing.T) {
 	defer db.Close()
 	srv, _ := Serve(db, "127.0.0.1:0")
 	defer srv.Close()
-	pool, err := StartRemotePool(srv.Addr(), "m", 1, func(ctx context.Context, payload string) (string, error) {
+	pool, err := StartRemotePool([]string{srv.Addr()}, "m", 1, 1, func(ctx context.Context, payload string) (string, error) {
 		return "", fmt.Errorf("remote boom")
 	})
 	if err != nil {
@@ -77,8 +93,17 @@ func TestRemotePoolHandlerErrors(t *testing.T) {
 	}
 }
 
+// The constructor contract under the pool: Dial connects eagerly, so an
+// address with no listener fails at Dial (and at StartRemotePool);
+// DialShardGroup connects lazily, so a group with a dead member builds
+// (and a pool on it starts), and its first op that routes to the dead
+// member fails with ErrTransport while the live member serves.
 func TestRemotePoolRejectsBadAddr(t *testing.T) {
-	if _, err := StartRemotePool("127.0.0.1:1", "m", 1, func(ctx context.Context, p string) (string, error) {
+	const dead = "127.0.0.1:1"
+	if _, err := Dial(dead, WithRetries(0)); !errors.Is(err, ErrTransport) {
+		t.Fatalf("Dial to no listener = %v, want ErrTransport", err)
+	}
+	if _, err := StartRemotePool([]string{dead}, "m", 1, 1, func(ctx context.Context, p string) (string, error) {
 		return "", nil
 	}); err == nil {
 		t.Fatal("unreachable server accepted")
@@ -87,12 +112,39 @@ func TestRemotePoolRejectsBadAddr(t *testing.T) {
 	defer db.Close()
 	srv, _ := Serve(db, "127.0.0.1:0")
 	defer srv.Close()
-	if _, err := StartRemotePool(srv.Addr(), "m", 0, func(ctx context.Context, p string) (string, error) {
+
+	sc, err := DialShardGroup([]string{srv.Addr(), dead}, WithRetries(0))
+	if err != nil {
+		t.Fatalf("group with a dead member refused at build: %v", err)
+	}
+	defer sc.Close()
+	f, err := db.Submit("m", 0, "x") // task 1: strides to shard 0
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, done, err := sc.Result(f.TaskID); err != nil || done {
+		t.Fatalf("op on the live member = done=%v err=%v, want pending", done, err)
+	}
+	if _, _, err := sc.Result(f.TaskID + 1); !errors.Is(err, ErrTransport) {
+		t.Fatalf("first op on the dead member = %v, want ErrTransport", err)
+	}
+	pool, err := StartRemotePool([]string{srv.Addr(), dead}, "m", 1, 1, func(ctx context.Context, p string) (string, error) {
+		return "ok", nil
+	})
+	if err != nil {
+		t.Fatalf("pool on a group with a dead member refused: %v", err)
+	}
+	if res, err := f.Result(context.Background()); err != nil || res != "ok" {
+		t.Fatalf("pool on a group with a dead member = %q, %v", res, err)
+	}
+	pool.Stop()
+
+	if _, err := StartRemotePool([]string{srv.Addr()}, "m", 0, 1, func(ctx context.Context, p string) (string, error) {
 		return "", nil
 	}); err == nil {
 		t.Fatal("0 workers accepted")
 	}
-	if _, err := StartRemotePool(srv.Addr(), "m", 1, nil); err == nil {
+	if _, err := StartRemotePool([]string{srv.Addr()}, "m", 1, 1, nil); err == nil {
 		t.Fatal("nil handler accepted")
 	}
 }
@@ -102,7 +154,7 @@ func TestRemotePoolStopsCleanly(t *testing.T) {
 	defer db.Close()
 	srv, _ := Serve(db, "127.0.0.1:0")
 	defer srv.Close()
-	pool, err := StartRemotePool(srv.Addr(), "m", 2, func(ctx context.Context, p string) (string, error) {
+	pool, err := StartRemotePool([]string{srv.Addr()}, "m", 2, 1, func(ctx context.Context, p string) (string, error) {
 		return p, nil
 	})
 	if err != nil {

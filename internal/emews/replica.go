@@ -78,7 +78,7 @@ type Follower struct {
 	primaryAddr string
 	dir         string
 	opts        FollowerOptions
-	cl          *Client
+	cl          *shardConn
 
 	cancel context.CancelFunc
 	done   chan struct{}
@@ -105,13 +105,13 @@ func StartFollower(primaryAddr, dir string, opts FollowerOptions) (*Follower, er
 	if opts.PollInterval <= 0 {
 		opts.PollInterval = 25 * time.Millisecond
 	}
-	cl, err := Dial(primaryAddr, opts.ClientOpts...)
+	cl, err := dialConn(primaryAddr, newClientConfig(opts.ClientOpts...))
 	if err != nil {
 		return nil, fmt.Errorf("emews: follower dial primary: %w", err)
 	}
 	f := &Follower{primaryAddr: primaryAddr, dir: dir, opts: opts, cl: cl, done: make(chan struct{})}
 	if err := f.bootstrap(); err != nil {
-		cl.Close()
+		cl.close()
 		return nil, err
 	}
 	ctx, cancel := context.WithCancel(context.Background())
@@ -146,7 +146,7 @@ func (f *Follower) bootstrap() error {
 		l.Close()
 		return err
 	}
-	chunk, err := f.cl.WALFetch(0, 0)
+	chunk, err := f.cl.walFetch(0, 0)
 	if err != nil {
 		l.Close()
 		return fmt.Errorf("emews: follower bootstrap: %w", err)
@@ -184,7 +184,7 @@ func (f *Follower) run(ctx context.Context) {
 		f.mu.Lock()
 		seg, off := f.seg, f.off
 		f.mu.Unlock()
-		chunk, err := f.cl.WALFetch(seg, off)
+		chunk, err := f.cl.walFetch(seg, off)
 		if err != nil {
 			f.noteErr(err)
 			if !f.sleep(ctx) {
@@ -373,7 +373,7 @@ func (f *Follower) Promote() (*DB, *wal.Log, error) {
 	f.promoted = true
 	db, l := f.db, f.log
 	f.mu.Unlock()
-	f.cl.Close()
+	f.cl.close()
 
 	if err := db.becomePrimary(l); err != nil {
 		return nil, nil, err
@@ -386,7 +386,7 @@ func (f *Follower) Promote() (*DB, *wal.Log, error) {
 // replica log.
 func (f *Follower) Close() {
 	f.Stop()
-	f.cl.Close()
+	f.cl.close()
 	f.mu.Lock()
 	l, promoted := f.log, f.promoted
 	f.mu.Unlock()

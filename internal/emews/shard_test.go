@@ -5,7 +5,9 @@ import (
 	"fmt"
 	"hash/fnv"
 	"path/filepath"
+	"sort"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -209,7 +211,7 @@ func TestShardGroupEndToEnd(t *testing.T) {
 	}
 }
 
-// A raw client talking to the wrong member of a shard group gets a
+// A member connection talking to the wrong member of a shard group gets a
 // wrong_shard redirect naming the owner, and the op is not applied.
 func TestWrongShardRedirect(t *testing.T) {
 	base := t.TempDir()
@@ -229,13 +231,13 @@ func TestWrongShardRedirect(t *testing.T) {
 		t.Fatal("could not find a key owned by a nonzero shard")
 	}
 
-	cl, err := Dial(g.Addrs()[0], WithOpTimeout(2*time.Second))
+	cl, err := dialConn(g.Addrs()[0], newClientConfig(WithOpTimeout(2*time.Second)))
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer cl.Close()
+	defer cl.close()
 
-	_, err = cl.SubmitKeyedRetry("sim", 0, "payload", key, 1)
+	_, err = cl.submitBatch("sim", 0, []string{"payload"}, key, 1)
 	var ws *WrongShardError
 	if !errors.As(err, &ws) {
 		t.Fatalf("misrouted keyed submit: err=%v, want WrongShardError", err)
@@ -248,12 +250,12 @@ func TestWrongShardRedirect(t *testing.T) {
 	}
 
 	// Task-addressed ops redirect by ID stride: task 2 strides to shard 1.
-	if err := cl.Complete(2, 1, "r"); !errors.As(err, &ws) || ws.Shard != 1 {
-		t.Fatalf("misrouted complete: err=%v", err)
+	if errs, err := cl.finishBatch([]FinishOp{{TaskID: 2, Epoch: 1, Result: "r"}}); err != nil || !errors.As(errs[0], &ws) || ws.Shard != 1 {
+		t.Fatalf("misrouted complete: errs=%v err=%v", errs, err)
 	}
 
 	// An unkeyed submit (legacy client) is accepted anywhere.
-	if _, err := cl.Submit("sim", 0, "legacy"); err != nil {
+	if _, err := cl.submitBatch("sim", 0, []string{"legacy"}, "", 1); err != nil {
 		t.Fatalf("unkeyed submit refused: %v", err)
 	}
 
@@ -268,6 +270,183 @@ func TestWrongShardRedirect(t *testing.T) {
 	defer sc.Close()
 	if _, err := sc.SubmitRetry("sim", 0, "some-params", 1); err != nil {
 		t.Fatalf("redirect-following submit failed: %v", err)
+	}
+}
+
+// One error contract at every group size. With one member of a 2-shard
+// group down, PopBatch keeps waiting on the live member and FinishBatch
+// reports the dead member's exchange error in that member's slots only.
+// With every member down, an unbounded PopBatch returns the transport
+// error instead of waiting until Close, and FinishBatch fails the whole
+// call: no op's outcome is known.
+func TestShardGroupErrorContract(t *testing.T) {
+	var dbs []*DB
+	var srvs []*Server
+	var addrs []string
+	for i := 0; i < 2; i++ {
+		db, err := NewDBShard(i, 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer db.Close()
+		srv, err := Serve(db, "127.0.0.1:0", WithShardIdentity(i, 2))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer srv.Close()
+		dbs, srvs, addrs = append(dbs, db), append(srvs, srv), append(addrs, srv.Addr())
+	}
+	sc, err := DialShardGroup(addrs, WithOpTimeout(2*time.Second), WithRetries(1), WithBackoff(time.Millisecond, 5*time.Millisecond))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sc.Close()
+
+	// One claim per member, so each finish_batch leg carries a real op.
+	for _, db := range dbs {
+		if _, err := db.Submit("sim", 0, "p"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var claims []RemoteTask
+	for len(claims) < 2 {
+		tasks, err := sc.PopBatch("sim", 2, 2*time.Second)
+		if err != nil || len(tasks) == 0 {
+			t.Fatalf("pop with every member up = %v, %v", tasks, err)
+		}
+		claims = append(claims, tasks...)
+	}
+	sort.Slice(claims, func(i, j int) bool { return claims[i].ID < claims[j].ID }) // IDs 1, 2: shards 0, 1
+	srvs[1].Close()
+
+	fins := []FinishOp{
+		{TaskID: claims[0].ID, Epoch: claims[0].Epoch, Result: "r"},
+		{TaskID: claims[1].ID, Epoch: claims[1].Epoch, Result: "r"},
+	}
+	errs, err := sc.FinishBatch(fins)
+	if err != nil || errs[0] != nil || !errors.Is(errs[1], ErrTransport) {
+		t.Fatalf("finish with member 1 down = %v, %v; want [nil, ErrTransport], nil", errs, err)
+	}
+	go func() {
+		time.Sleep(100 * time.Millisecond)
+		dbs[0].Submit("sim", 0, "late")
+	}()
+	if tasks, err := sc.PopBatch("sim", 1, 0); err != nil || len(tasks) != 1 || tasks[0].Payload != "late" {
+		t.Fatalf("unbounded pop with member 1 down = %v, %v; want the live member's task", tasks, err)
+	}
+
+	srvs[0].Close()
+	popped := make(chan error, 1)
+	go func() {
+		_, err := sc.PopBatch("sim", 1, 0)
+		popped <- err
+	}()
+	select {
+	case err := <-popped:
+		if !errors.Is(err, ErrTransport) {
+			t.Fatalf("unbounded pop with every member down = %v, want ErrTransport", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("unbounded pop with every member down did not return")
+	}
+	if errs, err := sc.FinishBatch(fins); errs != nil || !errors.Is(err, ErrTransport) {
+		t.Fatalf("finish with every member down = %v, %v; want nil, ErrTransport", errs, err)
+	}
+
+	// Repointing a member at its replacement (in a failover, the promoted
+	// follower) brings it back.
+	srv, err := Serve(dbs[0], "127.0.0.1:0", WithShardIdentity(0, 2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	if err := sc.SetShardAddr(2, srv.Addr()); err == nil {
+		t.Fatal("out-of-range shard repointed")
+	}
+	if err := sc.SetShardAddr(0, srv.Addr()); err != nil {
+		t.Fatal(err)
+	}
+	if res, done, err := sc.Result(claims[0].ID); err != nil || !done || res != "r" {
+		t.Fatalf("result from the repointed member = %q, %v, %v", res, done, err)
+	}
+}
+
+// Several goroutines popping one task type through one group client
+// share its fan-out: every task is delivered exactly once, and each
+// caller wakes on deliveries another caller's pops brought in.
+func TestShardGroupConcurrentPops(t *testing.T) {
+	var addrs []string
+	for i := 0; i < 2; i++ {
+		db, err := NewDBShard(i, 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer db.Close()
+		srv, err := Serve(db, "127.0.0.1:0", WithShardIdentity(i, 2))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer srv.Close()
+		addrs = append(addrs, srv.Addr())
+	}
+	sc, err := DialShardGroup(addrs, WithOpTimeout(5*time.Second))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sc.Close()
+
+	const total = 200
+	payloads := make([]string, total)
+	for i := range payloads {
+		payloads[i] = fmt.Sprintf("params-%03d", i)
+	}
+	if _, err := sc.SubmitBatch("sim", 0, payloads, 1); err != nil {
+		t.Fatal(err)
+	}
+	var mu sync.Mutex
+	seen := map[int64]int{}
+	var wg sync.WaitGroup
+	for w := 0; w < 4; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for deadline := time.Now().Add(10 * time.Second); time.Now().Before(deadline); {
+				mu.Lock()
+				drained := len(seen) == total
+				mu.Unlock()
+				if drained {
+					return
+				}
+				tasks, err := sc.PopBatch("sim", 4, 50*time.Millisecond)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				var fins []FinishOp
+				mu.Lock()
+				for _, task := range tasks {
+					seen[task.ID]++
+					fins = append(fins, FinishOp{TaskID: task.ID, Epoch: task.Epoch, Result: "ok"})
+				}
+				mu.Unlock()
+				if _, err := sc.FinishBatch(fins); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if len(seen) != total {
+		t.Fatalf("drained %d/%d tasks", len(seen), total)
+	}
+	for id, n := range seen {
+		if n != 1 {
+			t.Fatalf("task %d delivered %d times", id, n)
+		}
+	}
+	if st, err := sc.RemoteStats(); err != nil || st.Complete != total {
+		t.Fatalf("stats = %+v, %v; want %d complete", st, err, total)
 	}
 }
 

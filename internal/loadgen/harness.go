@@ -464,7 +464,7 @@ const leaseSize = 4
 
 func (p *pool) worker(taskType string) {
 	defer p.wg.Done()
-	var cl *emews.ShardedClient
+	var cl *emews.Client
 	defer func() {
 		if cl != nil {
 			cl.Close()
@@ -561,7 +561,7 @@ func (p *pool) worker(taskType string) {
 // event lands exactly once (at-least-once send + presence check on the
 // ambiguous error paths).
 func (h *harness) submitDriver() {
-	var cl *emews.ShardedClient
+	var cl *emews.Client
 	defer func() {
 		if cl != nil {
 			cl.Close()
@@ -594,7 +594,7 @@ func (h *harness) submitDriver() {
 // the task may or may not have been applied, so the driver checks the
 // live ledger for the event's plan index before re-sending. The returned
 // client replaces the caller's (it may have been redialed or dropped).
-func (h *harness) ensureSubmitted(cl *emews.ShardedClient, ev *PlanEvent) *emews.ShardedClient {
+func (h *harness) ensureSubmitted(cl *emews.Client, ev *PlanEvent) *emews.Client {
 	for attempt := 0; ; attempt++ {
 		if h.fatalErr() != nil {
 			return cl
@@ -1020,7 +1020,7 @@ func (h *harness) faultRunner() {
 // reconciliation.
 func (h *harness) sweepSubmits() {
 	present := h.tasksByPlanIndex()
-	var cl *emews.ShardedClient
+	var cl *emews.Client
 	for i := range h.plan {
 		ev := &h.plan[i]
 		if ev.Kind != EventSubmit {

@@ -213,7 +213,7 @@ func (h *harness) proxies() []*chaos.Proxy {
 // dial connects a routing client to the group through the members'
 // proxies — the stable names that survive reboots and failover. Pool
 // workers and the ME-side submit driver both use it.
-func (h *harness) dial() (*emews.ShardedClient, error) {
+func (h *harness) dial() (*emews.Client, error) {
 	addrs := make([]string, len(h.shards))
 	for i, s := range h.shards {
 		addrs[i] = s.proxy.Addr()
